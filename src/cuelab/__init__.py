@@ -10,7 +10,6 @@ Monte Carlo experiments with a CLI front end.
 from .errors import (
     CuelabError,
     DegenerateCombinationError,
-    IllConditionedContourError,
     InvalidArgumentError,
     InvalidConfigError,
     InvalidDimensionError,
@@ -66,13 +65,10 @@ from .ensembles import (
     CombinationEnsemble,
     RootSet,
     circle_root_count,
-    combination_degree,
-    evaluate_combination,
     real_rotation,
     roots_oracle,
     rotation_scale,
     sign_changes,
-    winding_inside_count,
 )
 from .carrier import (
     CarrierWaveConfig,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from numpy.linalg import LinAlgError
+
 from .errors import CuelabError, InvalidConfigError
 from .experiments import (
     ExperimentConfig,
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
     try:
         record = runner(cfg)
         text = emit(record, format=cfg.format, path=cfg.out)
-    except CuelabError as exc:
+    except (CuelabError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg.out is None:

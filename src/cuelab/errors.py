@@ -15,7 +15,6 @@ __all__ = [
     "NumericalFailureError",
     "InvalidEnsembleError",
     "DegenerateCombinationError",
-    "IllConditionedContourError",
     "InvalidConfigError",
 ]
 
@@ -50,10 +49,6 @@ class InvalidEnsembleError(CuelabError, ValueError):
 
 class DegenerateCombinationError(CuelabError, ArithmeticError):
     """The trigonometric combination is numerically identically zero."""
-
-
-class IllConditionedContourError(CuelabError, ArithmeticError):
-    """A winding-number contour passes too close to a zero even after retries."""
 
 
 class InvalidConfigError(CuelabError, ValueError):

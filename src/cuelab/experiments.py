@@ -26,7 +26,6 @@ from scipy import stats
 
 from .errors import (
     DegenerateCombinationError,
-    IllConditionedContourError,
     InvalidArgumentError,
     InvalidConfigError,
     NumericalFailureError,
@@ -53,12 +52,11 @@ from .specfun import (
     oscillation_variance_exact,
 )
 from .ensembles import (
+    ORACLE_MAX_DIM,
     CombinationEnsemble,
     circle_root_count,
-    combination_degree,
     roots_oracle,
     sign_changes,
-    winding_inside_count,
 )
 from .carrier import (
     carrier_wave_index,
@@ -303,33 +301,29 @@ def _sample_fraction(seed, group, k, payload):
     ens = CombinationEnsemble(np.asarray(coeffs, dtype=float), specs)
     try:
         changes = sign_changes(ens, grid_factor=grid_factor)
-    except DegenerateCombinationError:
-        return (math.nan, 1.0, math.nan, math.nan, math.nan)
-    if dim <= 16:
         count = circle_root_count(roots_oracle(ens))
-        audit = 1.0 if changes == count else 0.0
-        lower = 1.0 if changes <= count else 0.0
-    else:
-        count = changes
-        lower = 1.0
-        try:
-            inside = winding_inside_count(ens)
-            audit = 1.0 if combination_degree(ens) - 2 * inside == count else 0.0
-        except IllConditionedContourError:
-            audit = math.nan
-    return (float(count) / dim, 0.0, audit, lower, float(count))
+    except DegenerateCombinationError:
+        return (math.nan, 1.0, math.nan, math.nan)
+    audit = 1.0 if changes == count else 0.0
+    lower = 1.0 if changes <= count else 0.0
+    return (float(count) / dim, 0.0, audit, lower)
 
 
 def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     """Mean fraction of the combination's zeros that sit on the unit circle.
 
     For each N the run draws ``samples`` independent n-tuples of SU(N)
-    spectra, counts circle zeros (root oracle for N <= 16, sign changes
-    cross-audited by the winding count above), and reports mean +- stderr.
-    Degenerate draws (identically vanishing combination) are excluded and
-    counted.
+    spectra, counts circle zeros with the root oracle, audits the
+    sign-change lower bound against that count, and reports mean +-
+    stderr.  N is capped at ORACLE_MAX_DIM (512).  Degenerate draws
+    (identically vanishing combination) are excluded and counted.
     """
     started = time.time()
+    for dim in cfg.dims:
+        if dim > ORACLE_MAX_DIM:
+            raise InvalidConfigError(
+                f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}"
+            )
     workers = cfg.resolved_workers()
     rows, checks = [], []
     means, stderrs = [], []
@@ -347,33 +341,29 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
         rows.append(_row(f"N={dim}", est))
         means.append(est.mean)
         stderrs.append(est.stderr)
-        audits = kept[:, 2]
-        audited = audits[~np.isnan(audits)]
-        rate = float(audited.mean()) if len(audited) else 1.0
+        rate = float(kept[:, 2].mean())
         if dim <= 16:
-            # exact-oracle regime: agreement is a hard requirement
             checks.append(
                 _check(
                     f"count audit agreement N={dim}",
                     rate >= 0.95,
-                    f"rate={rate:.4f} over {len(audited)} audited samples",
-                )
-            )
-            undercount = bool(np.all(kept[:, 3] == 1.0))
-            checks.append(
-                _check(
-                    f"sign changes never exceed root count N={dim}",
-                    undercount,
-                    "lower-bound property of sign counting",
+                    f"rate={rate:.4f} over {len(kept)} audited samples",
                 )
             )
         else:
-            # the fixed-radius winding contour cannot separate interior
-            # roots that crowd toward the circle at large N, so the
-            # cross-audit rate is reported rather than gated
+            # sign scanning can miss a close pair of circle zeros (3 of
+            # 1,200 ensembles at N = 64, 3 of 30 at N = 256), so above
+            # N = 16 the agreement rate is reported, not gated
             rows.append(
-                _value_row(f"winding audit rate N={dim}", rate, cfg.seed, n=len(audited))
+                _value_row(f"count audit rate N={dim}", rate, cfg.seed, n=len(kept))
             )
+        checks.append(
+            _check(
+                f"sign changes never exceed root count N={dim}",
+                bool(np.all(kept[:, 3] == 1.0)),
+                "lower-bound property of sign counting",
+            )
+        )
     if len(cfg.dims) >= 2:
         worst = 0.0
         trend_ok = True

@@ -88,6 +88,9 @@ def test_runner_preconditions():
     with pytest.raises(InvalidConfigError):
         run_clt_check(ExperimentConfig(experiment="clt", dims=(32,), samples=100, seed=1))
     with pytest.raises(InvalidConfigError):
+        # the root oracle that counts the zeros stops at N = 512
+        run_fraction_on_circle(ExperimentConfig(experiment="fraction", dims=(8, 513), seed=1))
+    with pytest.raises(InvalidConfigError):
         # oscillation window must fit on the circle: mu <= 2 pi N
         run_oscillation_check(
             ExperimentConfig(experiment="oscillation", dims=(8,), samples=100, seed=1, mu=100.0)

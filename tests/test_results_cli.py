@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from cuelab import cli
 from cuelab.cli import main, parse_cli
 from cuelab.errors import CuelabError, InvalidArgumentError
 from cuelab.results import (
@@ -234,6 +235,16 @@ def test_main_exit_one_when_a_check_fails(capsys):
     assert code == 1
     assert "FAIL" in err
     assert "PASS" in err  # the per-dimension audits still hold
+
+
+def test_main_maps_linalg_error_to_exit_one(monkeypatch, capsys):
+    def fails_to_converge(cfg):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._RUNNERS, "selftest", fails_to_converge)
+    assert main(["selftest"]) == 1
+    _, err = capsys.readouterr()
+    assert "error: Eigenvalues did not converge" in err
 
 
 def test_main_same_seed_same_bytes_any_worker_count(tmp_path, monkeypatch):
