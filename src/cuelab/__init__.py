@@ -42,8 +42,8 @@ from .spectra import (
     eigenangles,
     log_z,
     log_z_from_chain,
+    log_z_grid,
     trace_series_partial,
-    z_value,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -67,16 +67,13 @@ from .ensembles import (
     circle_root_count,
     real_rotation,
     roots_oracle,
-    rotation_scale,
     sign_changes,
 )
 from .carrier import (
     CarrierWaveConfig,
-    GapReport,
     carrier_wave_index,
     exceptional_mask,
     exceptional_set_measure,
-    gap_report,
     narrow_gap_count,
     narrow_gap_threshold,
     normalized_logs,

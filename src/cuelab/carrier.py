@@ -4,9 +4,10 @@ Away from an exceptional set of angles, one term of the combination
 dominates all others in log-modulus and therefore dictates where the real
 rotation G changes sign — the "carrier wave".  This module computes the
 normalized log-moduli L_j, the exceptional set where domination fails, the
-circle subdivision with its base-angle selection, the gap classification
-(roomy vs narrow) of a spectrum against the subdivision threshold, and the
-all-pairs narrow-pair counter chi_eps.
+circle subdivision with its base-angle selection, the roomy/narrow gap
+threshold of the subdivision, and the all-pairs narrow-pair counter
+chi_eps.  Every log Z value comes from one
+:func:`~cuelab.spectra.log_z_grid` call over all spectra of the ensemble.
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ import numpy as np
 
 from .ensembles import CombinationEnsemble
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, EigenangleSpectrum, log_z
+from .spectra import TWO_PI, EigenangleSpectrum, _check_regular, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
-    "GapReport",
     "normalized_logs",
     "exceptional_mask",
     "exceptional_set_measure",
     "carrier_wave_index",
     "subdivision",
     "narrow_gap_threshold",
-    "gap_report",
     "narrow_gap_count",
 ]
 
@@ -42,27 +41,17 @@ def _log_norm(n_dim: int) -> float:
     return math.sqrt(0.5 * math.log(n_dim))
 
 
+def _re_logs_at(ens: CombinationEnsemble, theta: float) -> np.ndarray:
+    """Re log Z_j(theta) for each spectrum, raising on an eigenangle."""
+    theta = float(theta)
+    _check_regular(ens.angles, theta)
+    return log_z_grid(ens.angles, theta)[0]
+
+
 def normalized_logs(ens: CombinationEnsemble, theta: float) -> np.ndarray:
     """L_j(theta) = log|Z_j(theta)| / sqrt(log(N)/2) for each spectrum."""
     norm = _log_norm(ens.dim)
-    return np.array([log_z(spec, float(theta)).re for spec in ens.spectra]) / norm
-
-
-def _re_log_grid(ens: CombinationEnsemble, thetas: np.ndarray) -> np.ndarray:
-    """Re log Z_j on a grid, shape (n, m); -inf at eigenangles."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    out = np.empty((ens.n_terms, len(thetas)))
-    with np.errstate(divide="ignore"):
-        for j, spec in enumerate(ens.spectra):
-            v = np.mod(spec.angles[:, None] - thetas[None, :], TWO_PI)
-            out[j] = np.sum(np.log(np.abs(2.0 * np.sin(0.5 * v))), axis=0)
-    return out
-
-
-def _im_log_grid(spec: EigenangleSpectrum, thetas: np.ndarray) -> np.ndarray:
-    """Im log Z on a grid under the per-factor branch convention (finite everywhere)."""
-    v = np.mod(spec.angles[:, None] - np.asarray(thetas)[None, :], TWO_PI)
-    return np.sum(0.5 * (v - np.pi), axis=0)
+    return _re_logs_at(ens, theta) / norm
 
 
 def exceptional_mask(ens: CombinationEnsemble, delta: float, thetas: np.ndarray) -> np.ndarray:
@@ -75,7 +64,7 @@ def exceptional_mask(ens: CombinationEnsemble, delta: float, thetas: np.ndarray)
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
-    logs = _re_log_grid(ens, thetas) / _log_norm(ens.dim)
+    logs = log_z_grid(ens.angles, thetas)[0] / _log_norm(ens.dim)
     mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
     n = ens.n_terms
     for i in range(n):
@@ -107,8 +96,7 @@ def carrier_wave_index(ens: CombinationEnsemble, theta: float) -> int:
     Ties break to the lowest index.  Raises singular-point if theta sits on
     an eigenangle of any spectrum (where some Re log Z is -inf).
     """
-    values = [log_z(spec, float(theta)).re for spec in ens.spectra]
-    return int(np.argmax(values)) + 1
+    return int(np.argmax(_re_logs_at(ens, theta))) + 1
 
 
 @dataclass
@@ -167,13 +155,12 @@ def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
     offsets = np.arange(k_div) * big_delta
     lo = math.sqrt(delta) * big_delta
     hi = (1.0 - math.sqrt(delta)) * big_delta
-    # thetas[c, k, 2]: all endpoint evaluations for candidate c
+    # ends[e, c, k]: endpoint e (0 = lo, 1 = hi) of subinterval k for
+    # candidate c; im[j, e, c, k] is Im log Z of spectrum j there.
     base = candidates[:, None] + offsets[None, :]
-    scores = np.zeros(_THETA0_CANDIDATES)
-    for spec in ens.spectra:
-        im_lo = _im_log_grid(spec, (base + lo).ravel()).reshape(base.shape)
-        im_hi = _im_log_grid(spec, (base + hi).ravel()).reshape(base.shape)
-        scores += np.sum(np.abs(im_hi - im_lo), axis=1)
+    ends = np.stack([base + lo, base + hi])
+    _, im = log_z_grid(ens.angles, ends)
+    scores = np.sum(np.sum(np.abs(im[:, 1] - im[:, 0]), axis=2), axis=0)
     return float(candidates[int(np.argmin(scores))])
 
 
@@ -213,32 +200,6 @@ def subdivision(
     )
 
 
-@dataclass
-class GapReport:
-    """Classified circular gaps of one spectrum.
-
-    ``gaps`` holds (left, right, width, classification) for the N circular
-    gaps between consecutive eigenangles (including the wraparound gap,
-    whose right angle exceeds 2pi); classification is 'narrow' when
-    width <= threshold, else 'roomy'.
-    """
-
-    gaps: list
-    threshold: float
-
-    @property
-    def narrow_count(self) -> int:
-        return sum(1 for gap in self.gaps if gap[3] == "narrow")
-
-    def check(self) -> "GapReport":
-        for left, right, width, cls in self.gaps:
-            if width < 0 or abs((right - left) - width) > 1e-12:
-                raise InvalidArgumentError("inconsistent gap geometry")
-            if cls != ("narrow" if width <= self.threshold else "roomy"):
-                raise InvalidArgumentError("gap classification does not match threshold")
-        return self
-
-
 def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> float:
     """c' (M/N) delta^{-2} (log N)^{-1/4} (log M)^{1/2}, the roomy/narrow cut."""
     if c_prime <= 0.0:
@@ -250,19 +211,6 @@ def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> flo
         * math.log(config.N) ** -0.25
         * math.sqrt(math.log(config.M))
     )
-
-
-def gap_report(spec: EigenangleSpectrum, config: CarrierWaveConfig, c_prime: float = 1.0) -> GapReport:
-    """Classify all circular eigenangle gaps against the subdivision threshold."""
-    threshold = narrow_gap_threshold(config, c_prime)
-    a = spec.angles
-    gaps = []
-    for i in range(len(a)):
-        left = float(a[i])
-        right = float(a[i + 1]) if i + 1 < len(a) else float(a[0]) + TWO_PI
-        width = right - left
-        gaps.append((left, right, width, "narrow" if width <= threshold else "roomy"))
-    return GapReport(gaps, threshold)
 
 
 def narrow_gap_count(spec: EigenangleSpectrum, eps: float) -> int:

@@ -9,7 +9,9 @@ G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real trigonometric
 polynomial whose sign changes lower-bound the number of zeros of F on the
 unit circle.  This module provides G, an adaptive sign-change counter, and
 an independent oracle: companion-matrix roots of the polynomial whose
-coefficients come from an FFT of F sampled on the circle.
+coefficients come from an FFT of F sampled on the circle.  Both routes take
+every Z_j from :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G
+and F stay finite at any N.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
-from .spectra import TWO_PI, EigenangleSpectrum
+from .spectra import TWO_PI, log_z_grid
 
 __all__ = [
     "CombinationEnsemble",
     "RootSet",
     "real_rotation",
-    "rotation_scale",
     "sign_changes",
     "roots_oracle",
     "circle_root_count",
@@ -42,11 +43,15 @@ ORACLE_MAX_DIM = 512
 
 @dataclass
 class CombinationEnsemble:
-    """Coefficients and det-1 spectra defining F(z) = sum b_j det(I - z U_j)."""
+    """Coefficients and det-1 spectra defining F(z) = sum b_j det(I - z U_j).
+
+    ``angles`` is derived: the spectra's eigenangles stacked, shape (n, N).
+    """
 
     coefficients: np.ndarray
     spectra: list
     dim: int = 0
+    angles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -73,49 +78,35 @@ class CombinationEnsemble:
                 raise InvalidEnsembleError(
                     f"spectrum {j} has determinant phase {spec.det_phase:.3e}, need det 1"
                 )
+        self.angles = np.stack([spec.angles for spec in self.spectra])
 
     @property
     def n_terms(self) -> int:
         return len(self.coefficients)
 
 
-def _z_grid(ens: CombinationEnsemble, thetas: np.ndarray) -> np.ndarray:
-    """Matrix of Z_j(theta_i) values, shape (n_terms, len(thetas))."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    out = np.empty((ens.n_terms, len(thetas)), dtype=np.complex128)
-    for j, spec in enumerate(ens.spectra):
-        out[j] = np.prod(1.0 - np.exp(1j * (spec.angles[:, None] - thetas[None, :])), axis=0)
-    return out
+def _rotation_values(ens: CombinationEnsemble, thetas):
+    """(G values, scale values) at thetas (a scalar or an array).
 
-
-def _rotation_values(ens: CombinationEnsemble, thetas: np.ndarray):
-    """(G values, scale values) on a theta grid.
-
-    G = Re[rot * sum b_j Z_j] with rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2};
-    scale = sum |b_j| |Z_j| bounds |F| and calibrates the reality residual.
+    G = Re[rot * sum b_j Z_j] with rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2},
+    taken term by term as b_j |Z_j| cos(Im log Z_j + N(pi+theta)/2);
+    scale = sum |b_j| |Z_j| bounds |F| and calibrates the degeneracy floor.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    z = _z_grid(ens, thetas)
-    rot = np.exp(0.5j * ens.dim * (np.pi + thetas))
-    combo = rot * (ens.coefficients @ z)
-    scale = np.abs(ens.coefficients) @ np.abs(z)
-    return combo, scale
+    re, im = log_z_grid(ens.angles, thetas)
+    moduli = np.exp(re)
+    g = ens.coefficients @ (moduli * np.cos(im + 0.5 * ens.dim * (np.pi + thetas)))
+    scale = np.abs(ens.coefficients) @ moduli
+    return g, scale
 
 
 def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
     """G(theta), the real rotation of F at e^{-i theta}.
 
-    For det-1 spectra the rotated sum is real up to rounding; the imaginary
-    part (bounded by 1e-8 * sum |b_j||Z_j| + 1e-10 in tests) is discarded.
+    For det-1 spectra each term's phase Im log Z_j + N(pi+theta)/2 is a
+    multiple of pi, so G is real by construction.
     """
-    combo, _ = _rotation_values(ens, np.array([float(theta)]))
-    return float(combo[0].real)
-
-
-def rotation_scale(ens: CombinationEnsemble, theta: float) -> float:
-    """sum_j |b_j| |Z_j(theta)|, the natural magnitude scale of G at theta."""
-    _, scale = _rotation_values(ens, np.array([float(theta)]))
-    return float(scale[0])
+    g, _ = _rotation_values(ens, float(theta))
+    return float(g)
 
 
 def _bracket_changes(evaluate, a, ga, b, gb, depth) -> int:
@@ -167,8 +158,7 @@ def sign_changes(ens: CombinationEnsemble, grid_factor: int = 8, max_refine: int
     n_dim = ens.dim
     base = np.arange(grid_factor * n_dim) * (TWO_PI / (grid_factor * n_dim))
     nodes = np.unique(np.concatenate([base] + [spec.angles for spec in ens.spectra]))
-    combo, scale = _rotation_values(ens, nodes)
-    g = combo.real
+    g, scale = _rotation_values(ens, nodes)
     floor = _DEGENERATE_TOL * np.maximum(scale, 1e-300)
     if np.all(np.abs(g) <= floor):
         raise DegenerateCombinationError(
@@ -234,7 +224,8 @@ def _combination_coefficients(ens: CombinationEnsemble) -> np.ndarray:
     """
     n_dim = ens.dim
     m = 1 << (2 * n_dim + 1).bit_length()
-    values = ens.coefficients @ _z_grid(ens, np.arange(m) * (TWO_PI / m))
+    re, im = log_z_grid(ens.angles, np.arange(m) * (TWO_PI / m))
+    values = ens.coefficients @ np.exp(re + 1j * im)
     return np.fft.ifft(values)[n_dim::-1]
 
 

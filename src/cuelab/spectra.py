@@ -10,6 +10,11 @@ factor satisfies log(1 - e^{iv}) = log(2 sin(v/2)) + i (v - pi)/2 for
 v in (0, 2pi), which is the identity everything here is built on: it gives
 stable evaluation, the zero-counting formula on arcs, and agreement with
 the reflection-chain evaluation of log Z(0).
+
+:func:`log_z_grid` is the one kernel that evaluates this sum over
+(eigenangles x points), for one spectrum or a stack of them; every value of
+Z or log Z on the circle in the package comes from it.  Z itself is only
+ever formed as exp(log Z), so no partial product can overflow at large N.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = [
     "EigenangleSpectrum",
     "LogZ",
     "eigenangles",
-    "z_value",
+    "log_z_grid",
     "log_z",
     "arc_count_value",
     "count_in_arc",
@@ -43,6 +48,8 @@ TWO_PI = 2.0 * np.pi
 # How close (circularly) an evaluation point may come to an eigenangle
 # before log Z is treated as singular.
 _SINGULAR_TOL = 1e-12
+# Most (angles x points) elements log_z_grid holds in one temporary array.
+_GRID_BLOCK = 1 << 18
 
 
 def _wrap_angles(values: np.ndarray) -> np.ndarray:
@@ -129,18 +136,36 @@ def eigenangles(u_mat: UnitaryMatrix) -> EigenangleSpectrum:
     return spec.check()
 
 
-def z_value(spec: EigenangleSpectrum, t: float) -> complex:
-    """Z(t) = prod_j (1 - e^{i(theta_j - t)}); zero exactly at eigenangles."""
-    return complex(np.prod(1.0 - np.exp(1j * (spec.angles - t))))
+def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(Re log Z, Im log Z) of every spectrum in ``angles`` at every theta.
+
+    ``angles`` holds one spectrum's eigenangles, shape (N,), or a stack of
+    them, shape (n, N); the results have shape
+    ``angles.shape[:-1] + np.shape(thetas)``.  With v = (theta_k - t) mod 2pi,
+    Re = sum log|2 sin(v/2)|, which is -inf on an eigenangle (no warning),
+    and Im = sum (v - pi)/2.  The points are walked in blocks so that no
+    temporary holds more than 2^18 elements.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    points = thetas.ravel()
+    re = np.empty(angles.shape[:-1] + points.shape)
+    im = np.empty_like(re)
+    step = max(1, _GRID_BLOCK // max(1, angles.size))
+    with np.errstate(divide="ignore"):
+        for lo in range(0, len(points), step):
+            v = np.mod(angles[..., :, None] - points[lo:lo + step], TWO_PI)
+            re[..., lo:lo + step] = np.sum(np.log(np.abs(2.0 * np.sin(0.5 * v))), axis=-2)
+            im[..., lo:lo + step] = np.sum(0.5 * (v - np.pi), axis=-2)
+    shape = angles.shape[:-1] + thetas.shape
+    return re.reshape(shape), im.reshape(shape)
 
 
-def _branch_terms(spec: EigenangleSpectrum, t: float) -> np.ndarray:
-    """v_j = (theta_j - t) mod 2pi, raising if t sits on an eigenangle."""
-    v = np.mod(spec.angles - t, TWO_PI)
-    dist = np.minimum(v, TWO_PI - v)
-    if np.min(dist) < _SINGULAR_TOL:
+def _check_regular(angles, t: float) -> None:
+    """Raise SingularPointError if t is within 1e-12 of an eigenangle."""
+    v = np.mod(np.asarray(angles) - t, TWO_PI)
+    if np.min(np.minimum(v, TWO_PI - v)) < _SINGULAR_TOL:
         raise SingularPointError(f"t = {t!r} coincides with an eigenangle")
-    return v
 
 
 def log_z(spec: EigenangleSpectrum, t: float) -> LogZ:
@@ -149,14 +174,10 @@ def log_z(spec: EigenangleSpectrum, t: float) -> LogZ:
     Per factor, v = (theta_j - t) mod 2pi in (0, 2pi) gives
     log(1 - e^{iv}) = log(2 sin(v/2)) + i (v - pi)/2.
     """
-    v = _branch_terms(spec, float(t))
-    re = float(np.sum(np.log(2.0 * np.sin(0.5 * v))))
-    im = float(np.sum(0.5 * (v - np.pi)))
-    return LogZ(re, im)
-
-
-def _im_log_z(spec: EigenangleSpectrum, t: float) -> float:
-    return float(np.sum(0.5 * (_branch_terms(spec, t) - np.pi)))
+    t = float(t)
+    _check_regular(spec.angles, t)
+    re, im = log_z_grid(spec.angles, t)
+    return LogZ(float(re), float(im))
 
 
 def arc_count_value(spec: EigenangleSpectrum, s: float, t: float) -> float:
@@ -167,8 +188,11 @@ def arc_count_value(spec: EigenangleSpectrum, s: float, t: float) -> float:
     t > 2pi describing an arc that wraps through 0 (the length term keeps
     the unwrapped value while the Im terms use the reduced positions).
     """
-    n = spec.dim
-    return (n / TWO_PI) * (t - s) + (_im_log_z(spec, t % TWO_PI) - _im_log_z(spec, s % TWO_PI)) / np.pi
+    ends = np.array([s % TWO_PI, t % TWO_PI])
+    for end in ends:
+        _check_regular(spec.angles, float(end))
+    _, im = log_z_grid(spec.angles, ends)
+    return float((spec.dim / TWO_PI) * (t - s) + (im[1] - im[0]) / np.pi)
 
 
 def count_in_arc(spec: EigenangleSpectrum, s: float, t: float) -> int:

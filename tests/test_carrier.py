@@ -9,7 +9,6 @@ from cuelab.carrier import (
     carrier_wave_index,
     exceptional_mask,
     exceptional_set_measure,
-    gap_report,
     narrow_gap_count,
     narrow_gap_threshold,
     normalized_logs,
@@ -151,26 +150,8 @@ def test_single_term_carrier_is_trivial():
 
 
 # ---------------------------------------------------------------------------
-# gap reports
+# narrow gaps
 # ---------------------------------------------------------------------------
-
-
-def test_gap_report_covers_circle_once():
-    g = RngStream(SEED, 9).generator()
-    spec = eigenangles(haar_special_unitary(16, 0.0, g)[0])
-    cfg = subdivision(16, delta=0.2)
-    rep = gap_report(spec, cfg)
-    assert len(rep.gaps) == 16
-    widths = np.array([row[2] for row in rep.gaps])
-    assert widths.sum() == pytest.approx(2 * np.pi, abs=1e-10)
-    assert np.all(widths >= 0)
-    # wraparound row ends beyond 2*pi
-    assert max(row[1] for row in rep.gaps) > 2 * np.pi
-    for left, right, width, kind in rep.gaps:
-        assert right - left == pytest.approx(width, abs=1e-12)
-        assert kind == ("narrow" if width <= rep.threshold else "roomy")
-    assert rep.narrow_count == sum(1 for row in rep.gaps if row[3] == "narrow")
-    rep.check()
 
 
 def test_narrow_gap_count_matches_brute_force():

@@ -14,11 +14,10 @@ from cuelab.ensembles import (
     circle_root_count,
     real_rotation,
     roots_oracle,
-    rotation_scale,
     sign_changes,
 )
 from cuelab.errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
-from cuelab.spectra import EigenangleSpectrum, eigenangles
+from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z
 
 SEED = 271828
 
@@ -91,9 +90,33 @@ def test_real_rotation_is_real_and_vanishes_at_circle_roots():
     assert circle.size > 0
     for root in circle:
         theta = float(-np.angle(root)) % (2 * np.pi)
-        scale = rotation_scale(ens, theta)
+        scale = sum(
+            abs(b) * np.exp(log_z(spec, theta).re)
+            for b, spec in zip(ens.coefficients, ens.spectra)
+        )
         assert scale > 0
         assert abs(real_rotation(ens, theta)) < 1e-7 * scale
+
+
+def test_real_rotation_finite_at_large_n():
+    # a running product of N factors of modulus up to 2 can pass 1e308
+    # here; G must stay finite and bounded by sum |b_j| |Z_j|
+    g = RngStream(SEED, 16).generator()
+    for n_dim in (2400, 4096):
+        specs = []
+        for _ in range(2):
+            angles = g.uniform(0.0, TWO_PI, size=n_dim)
+            angles[-1] = -np.sum(angles[:-1]) % TWO_PI  # det 1
+            specs.append(EigenangleSpectrum.from_angles(angles))
+        ens = CombinationEnsemble(np.array([1.0, -0.5]), specs)
+        for theta in g.uniform(0.0, TWO_PI, size=50):
+            value = real_rotation(ens, float(theta))
+            assert np.isfinite(value)
+            bound = sum(
+                abs(b) * np.exp(log_z(spec, float(theta)).re)
+                for b, spec in zip(ens.coefficients, ens.spectra)
+            )
+            assert abs(value) <= bound * (1.0 + 1e-9)
 
 
 def test_rootset_symmetry_under_circle_inversion():

@@ -1,5 +1,7 @@
 """Spectra, characteristic values, branch bookkeeping, and arc counting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from cuelab.spectra import (
     eigenangles,
     log_z,
     log_z_from_chain,
+    log_z_grid,
     trace_series_partial,
-    z_value,
 )
 
 SEED = 31415
@@ -43,14 +45,6 @@ def test_from_angles_round_trip():
     spec.check()
 
 
-def test_z_value_equals_characteristic_determinant():
-    u, _ = sample(7, 1)
-    spec = eigenangles(u)
-    for t in (0.0, 0.7, 3.3, 6.0):
-        direct = np.linalg.det(np.eye(7) - np.exp(-1j * t) * u.entries)
-        assert abs(z_value(spec, t) - direct) < 1e-10
-
-
 def test_log_z_single_angle_closed_form():
     # N = 1: log(1 - e^{iv}) has modulus log(2 sin(v/2)) and phase (v - pi)/2
     for theta, t in [(2.0, 0.3), (0.5, 4.0), (5.9, 1.1)]:
@@ -62,11 +56,33 @@ def test_log_z_single_angle_closed_form():
 
 
 def test_log_z_exponentiates_to_z():
-    u, _ = sample(9, 2)
-    spec = eigenangles(u)
-    for t in (0.2, 2.9, 5.5):
-        lz = log_z(spec, t)
-        assert abs(np.exp(lz.re + 1j * lz.im) - z_value(spec, t)) < 1e-9
+    # exp(log Z) against the dense determinant det(I - e^{-it} U)
+    for n_dim, salt in ((7, 1), (9, 2)):
+        u, _ = sample(n_dim, salt)
+        spec = eigenangles(u)
+        for t in (0.0, 0.2, 0.7, 2.9, 3.3, 5.5, 6.0):
+            lz = log_z(spec, t)
+            direct = np.linalg.det(np.eye(n_dim) - np.exp(-1j * t) * u.entries)
+            assert abs(np.exp(lz.re + 1j * lz.im) - direct) < 1e-10
+
+
+def test_log_z_grid_matches_log_z_on_stacked_spectra():
+    specs = [eigenangles(sample(11, salt)[0]) for salt in (8, 9)]
+    angles = np.stack([spec.angles for spec in specs])
+    thetas = np.linspace(0.01, 6.27, 37)
+    re, im = log_z_grid(angles, thetas)
+    assert re.shape == im.shape == (2, 37)
+    for j, spec in enumerate(specs):
+        for i, t in enumerate(thetas):
+            lz = log_z(spec, t)
+            assert abs(re[j, i] - lz.re) < 1e-12
+            assert abs(im[j, i] - lz.im) < 1e-12
+    on_angle = float(angles[1, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        re, im = log_z_grid(angles, np.array([on_angle, 1.0]))
+    assert re[1, 0] == -np.inf
+    assert np.isfinite(re[0, 0]) and np.all(np.isfinite(im))
 
 
 def test_log_z_imaginary_part_bounded_by_n_half_pi():
