@@ -54,6 +54,25 @@ def normalized_logs(ens: CombinationEnsemble, theta: float) -> np.ndarray:
     return _re_logs_at(ens, theta) / norm
 
 
+def _grid_logs(ens: CombinationEnsemble, thetas) -> np.ndarray:
+    """L_j at every theta, shape (n,) + np.shape(thetas); -inf on an eigenangle."""
+    return log_z_grid(ens.angles, thetas)[0] / _log_norm(ens.dim)
+
+
+def _exceptional(logs: np.ndarray, delta: float) -> np.ndarray:
+    """E_delta membership from normalized logs of shape (n, ...)."""
+    mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
+    n = logs.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            # nan arises only when both terms are -inf (shared eigenangle);
+            # such points are already exceptional via the first condition.
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(logs[i] - logs[j])
+            mask |= np.where(np.isnan(diff), True, diff <= delta)
+    return mask
+
+
 def exceptional_mask(ens: CombinationEnsemble, delta: float, thetas: np.ndarray) -> np.ndarray:
     """Pointwise membership of thetas in the exceptional set E_delta.
 
@@ -64,16 +83,7 @@ def exceptional_mask(ens: CombinationEnsemble, delta: float, thetas: np.ndarray)
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
-    logs = log_z_grid(ens.angles, thetas)[0] / _log_norm(ens.dim)
-    mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
-    n = ens.n_terms
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = np.abs(logs[i] - logs[j])
-            # nan arises only when both terms are -inf (shared eigenangle);
-            # such points are already exceptional via the first condition.
-            mask |= np.where(np.isnan(diff), True, diff <= delta)
-    return mask
+    return _exceptional(_grid_logs(ens, thetas), delta)
 
 
 def exceptional_set_measure(ens: CombinationEnsemble, delta: float, grid: int | None = None) -> float:
@@ -126,8 +136,11 @@ class CarrierWaveConfig:
         if abs(self.Delta * self.K - TWO_PI) > 1e-12:
             raise InvalidConfigError("Delta * K must equal 2pi")
 
-    def theta_k(self, k: int) -> float:
-        """Left endpoint of subinterval k (k may equal K: the wrap point)."""
+    def theta_k(self, k):
+        """Left endpoint of subinterval k (k may equal K: the wrap point).
+
+        k may also be an integer array, giving one endpoint per entry.
+        """
         return self.theta0 + self.Delta * k
 
 

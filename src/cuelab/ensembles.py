@@ -7,7 +7,8 @@ For det-1 unitaries U_1..U_n and nonzero reals b_1..b_n let
 The self-inversive structure of each factor makes
 G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real trigonometric
 polynomial whose sign changes lower-bound the number of zeros of F on the
-unit circle.  This module provides G, an adaptive sign-change counter, and
+unit circle.  This module provides G, a sign-change counter that refines
+all its brackets level by level (one kernel call per bisection level), and
 an independent oracle: companion-matrix roots of the polynomial whose
 coefficients come from an FFT of F sampled on the circle.  Both routes take
 every Z_j from :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G
@@ -109,47 +110,21 @@ def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
     return float(g)
 
 
-def _bracket_changes(evaluate, a, ga, b, gb, depth) -> int:
-    """Count sign changes of G inside (a, b) by guarded bisection.
-
-    Each returned unit corresponds to one sign flip over a subinterval
-    disjoint from the others, so the total is a valid lower bound on the
-    number of zeros.  A midpoint dip below both endpoint magnitudes flags a
-    possible pair of zeros and forces descent into both halves.
-    """
-    flip = (ga > 0.0) != (gb > 0.0)
-    if depth <= 0:
-        return 1 if flip else 0
-    mid = 0.5 * (a + b)
-    gm = evaluate(mid)
-    if gm == 0.0:
-        # Exact zero off the node set: count the endpoint flip only (a
-        # tangency contributes no sign change).
-        return 1 if flip else 0
-    dip = abs(gm) < abs(ga) and abs(gm) < abs(gb)
-    left = (ga > 0.0) != (gm > 0.0)
-    right = (gm > 0.0) != (gb > 0.0)
-    total = 0
-    if left or dip:
-        total += _bracket_changes(evaluate, a, ga, mid, gm, depth - 1)
-    if right or dip:
-        total += _bracket_changes(evaluate, mid, gm, b, gb, depth - 1)
-    if total == 0 and flip:
-        # numerical safety: endpoints flip but neither half reported (can
-        # only happen through exact-zero midpoints); count the one flip.
-        total = 1
-    return total
-
-
 def sign_changes(ens: CombinationEnsemble, grid_factor: int = 8, max_refine: int = 20) -> int:
     """Lower bound for the number of zeros of F on the unit circle.
 
     Evaluates G on grid_factor*N uniform nodes plus every eigenangle of
-    every spectrum, then counts sign alternations with bisection refinement
-    (up to ``max_refine`` levels) inside brackets that flip sign or dip
-    toward zero.  Exact zeros at nodes (e.g. eigenangles of an n=1
-    ensemble) are removed from the sign sequence.  The circle is closed
-    with G(theta + 2pi) = (-1)^N G(theta).
+    every spectrum; exact zeros at nodes (e.g. eigenangles of an n=1
+    ensemble) are removed from the sign sequence.  Every bracket between
+    consecutive nodes, and the wrap bracket closed with
+    G(theta + 2pi) = (-1)^N G(theta), is then refined level by level: one
+    kernel call per level (at most ``max_refine``) evaluates all live
+    midpoints.  A midpoint where G is exactly 0 ends its bracket and counts
+    the endpoint flip (a tangency adds no sign change); otherwise a half is
+    kept if it flips sign or the midpoint dips below both endpoint
+    magnitudes, which flags a possible pair of zeros.  Each bracket left
+    flipping after the last level counts one.  The halves are disjoint, so
+    the total is a valid lower bound.
     """
     if not isinstance(grid_factor, (int, np.integer)) or grid_factor < 1:
         raise InvalidArgumentError(f"grid_factor must be a positive integer, got {grid_factor!r}")
@@ -168,21 +143,32 @@ def sign_changes(ens: CombinationEnsemble, grid_factor: int = 8, max_refine: int
     nodes, g = nodes[keep], g[keep]
     if len(nodes) < 2:
         raise DegenerateCombinationError("fewer than two nonzero grid values")
-
-    def evaluate(theta: float) -> float:
-        wrapped = theta - TWO_PI if theta >= TWO_PI else theta
-        value = real_rotation(ens, wrapped)
-        if theta >= TWO_PI and n_dim % 2 == 1:
-            value = -value
-        return value
-
+    odd = n_dim % 2 == 1
+    # live brackets (a, G(a), b, G(b)): consecutive nodes, then the wrap
+    a, ga = nodes, g
+    b = np.append(nodes[1:], nodes[0] + TWO_PI)
+    gb = np.append(g[1:], -g[0] if odd else g[0])
     total = 0
-    for i in range(len(nodes) - 1):
-        total += _bracket_changes(evaluate, nodes[i], g[i], nodes[i + 1], g[i + 1], max_refine)
-    # wraparound bracket: from the last node to the first node + 2pi
-    g_wrap = g[0] if n_dim % 2 == 0 else -g[0]
-    total += _bracket_changes(evaluate, nodes[-1], g[-1], nodes[0] + TWO_PI, g_wrap, max_refine)
-    return total
+    for _ in range(max_refine):
+        if a.size == 0:
+            break
+        mid = 0.5 * (a + b)
+        wrapped = mid >= TWO_PI
+        gm, _ = _rotation_values(ens, np.where(wrapped, mid - TWO_PI, mid))
+        if odd:
+            gm = np.where(wrapped, -gm, gm)
+        zero = gm == 0.0
+        total += int(np.count_nonzero(zero & ((ga > 0.0) != (gb > 0.0))))
+        dip = (np.abs(gm) < np.abs(ga)) & (np.abs(gm) < np.abs(gb))
+        left = ~zero & (((ga > 0.0) != (gm > 0.0)) | dip)
+        right = ~zero & (((gm > 0.0) != (gb > 0.0)) | dip)
+        a, ga, b, gb = (
+            np.concatenate([a[left], mid[right]]),
+            np.concatenate([ga[left], gm[right]]),
+            np.concatenate([mid[left], b[right]]),
+            np.concatenate([gm[left], gb[right]]),
+        )
+    return total + int(np.count_nonzero((ga > 0.0) != (gb > 0.0)))
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .sampling import (
 )
 from .spectra import (
     TWO_PI,
+    _check_regular,
     count_in_circular_arc,
     eigenangles,
     log_z,
@@ -59,8 +60,8 @@ from .ensembles import (
     sign_changes,
 )
 from .carrier import (
-    carrier_wave_index,
-    exceptional_mask,
+    _exceptional,
+    _grid_logs,
     narrow_gap_count,
     narrow_gap_threshold,
     subdivision,
@@ -896,40 +897,40 @@ def _sample_carrier(seed, group, k, payload):
     delta_eff = config.delta
     grid = 64 * dim
     thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    mask = exceptional_mask(ens, delta_eff, thetas)
-    mask_half = exceptional_mask(ens, delta_eff / 2.0, thetas)
+    logs = _grid_logs(ens, thetas)
+    mask = _exceptional(logs, delta_eff)
+    mask_half = _exceptional(logs, delta_eff / 2.0)
     lam = float(mask.mean()) * TWO_PI
     lam_half = float(mask_half.mean()) * TWO_PI
     monotone = 1.0 if bool(np.all(mask_half <= mask)) else 0.0
+    # Per subinterval k: 8 stability points, then 16 bound candidates at
+    # the left edge, all evaluated by one kernel call.
+    lefts = config.theta_k(np.arange(config.K))
+    pad = math.sqrt(delta_eff) * config.Delta
+    offsets = np.linspace(0.0, pad, 16, endpoint=False)
+    steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
+    points = np.mod(lefts[:, None] + np.concatenate([steps, offsets]), TWO_PI)
+    point_logs = _grid_logs(ens, points)
+    usable = ~_exceptional(point_logs, delta_eff)
+    carriers = np.argmax(point_logs, axis=0) + 1  # carrier_wave_index at every point
     # Carrier-index stability: on each subinterval, the index evaluated on
-    # an 8-point grid (outside the exceptional set) must not move.
-    stable = 0
-    for kk in range(config.K):
-        points = np.mod(
-            config.theta_k(kk) + (np.arange(8) + 0.5) * (config.Delta / 8.0), TWO_PI
-        )
-        usable = points[~exceptional_mask(ens, delta_eff, points)]
-        indices = {carrier_wave_index(ens, float(t)) for t in usable}
-        if len(indices) <= 1:
-            stable += 1
+    # the 8-point grid (outside the exceptional set) must not move.
+    stable = sum(len(set(carriers[kk, :8][usable[kk, :8]])) <= 1 for kk in range(config.K))
     stability = stable / config.K
     # Proof-chain lower bound: from a non-exceptional base point near the
     # left edge of each subinterval, count the carrier's eigenangles in the
     # remainder of the subinterval and subtract the narrow-gap penalty.
     threshold = narrow_gap_threshold(config, 1.0)
-    pad = math.sqrt(delta_eff) * config.Delta
-    offsets = np.linspace(0.0, pad, 16, endpoint=False)
+    has_base = np.any(usable[:, 8:], axis=1)
+    first = np.argmax(usable[:, 8:], axis=1)
+    bases = points[np.arange(config.K), 8 + first]
+    # the carrier index raises on an eigenangle wherever it is read
+    _check_regular(ens.angles, np.concatenate([points[:, :8][usable[:, :8]], bases[has_base]]))
     bound = 0
-    for kk in range(config.K):
-        left = config.theta_k(kk)
-        candidates = np.mod(left + offsets, TWO_PI)
-        usable = np.nonzero(~exceptional_mask(ens, delta_eff, candidates))[0]
-        if usable.size == 0:
-            continue
-        base = float(candidates[usable[0]])
-        arc = config.Delta - float(offsets[usable[0]])
-        carrier = carrier_wave_index(ens, base)
-        spec = ens.spectra[carrier - 1]
+    for kk in np.nonzero(has_base)[0]:
+        base = float(bases[kk])
+        arc = config.Delta - float(offsets[first[kk]])
+        spec = ens.spectra[carriers[kk, 8 + first[kk]] - 1]
         nu = count_in_circular_arc(spec, base, arc)
         relative = np.sort(np.mod(spec.angles - base, TWO_PI))
         inside = relative[relative < arc]

@@ -161,11 +161,17 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     return re.reshape(shape), im.reshape(shape)
 
 
-def _check_regular(angles, t: float) -> None:
-    """Raise SingularPointError if t is within 1e-12 of an eigenangle."""
-    v = np.mod(np.asarray(angles) - t, TWO_PI)
-    if np.min(np.minimum(v, TWO_PI - v)) < _SINGULAR_TOL:
-        raise SingularPointError(f"t = {t!r} coincides with an eigenangle")
+def _check_regular(angles, t) -> None:
+    """Raise SingularPointError if t is within 1e-12 of an eigenangle.
+
+    t may be one point or an array of points.
+    """
+    points = np.ravel(t)
+    v = np.mod(np.asarray(angles)[..., None] - points, TWO_PI)
+    near = np.minimum(v, TWO_PI - v) < _SINGULAR_TOL
+    if np.any(near):
+        bad = float(points[np.nonzero(near)[-1][0]])
+        raise SingularPointError(f"t = {bad!r} coincides with an eigenangle")
 
 
 def log_z(spec: EigenangleSpectrum, t: float) -> LogZ:

@@ -1,5 +1,7 @@
 """Circle subdivision, exceptional sets, carrier indices, and narrow gaps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,17 @@ def test_exceptional_mask_flags_singular_points_and_grows_with_delta():
     # a grid point exactly on an eigenangle is always exceptional
     on_angle = np.array([float(ens.spectra[0].angles[0])])
     assert exceptional_mask(ens, 0.05, on_angle)[0]
+
+
+def test_exceptional_mask_quiet_on_shared_eigenangle():
+    # both terms are -inf at a shared eigenangle; their difference is nan,
+    # which the mask expects, so no RuntimeWarning may escape
+    spec = su_ensemble(1, 8, salt=17).spectra[0]
+    ens = CombinationEnsemble(np.array([1.0, 2.0]), [spec, spec])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = exceptional_mask(ens, 0.05, spec.angles[:1])
+    assert mask[0]
 
 
 def test_exceptional_measure_bounds_and_monotonicity():

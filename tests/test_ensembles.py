@@ -8,6 +8,7 @@ coefficients come from an FFT of the combination on the circle.
 import numpy as np
 import pytest
 
+import cuelab.ensembles
 from cuelab import RngStream, haar_special_unitary
 from cuelab.ensembles import (
     CombinationEnsemble,
@@ -17,7 +18,7 @@ from cuelab.ensembles import (
     sign_changes,
 )
 from cuelab.errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
-from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z
+from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z, log_z_grid
 
 SEED = 271828
 
@@ -173,3 +174,72 @@ def test_ensemble_validation():
     with pytest.raises(InvalidEnsembleError):
         mixed = [specs[0], EigenangleSpectrum.from_angles(np.zeros(4))]
         CombinationEnsemble(np.array([1.0, 1.0]), mixed)  # dimension mismatch
+
+
+def _bracket_changes(evaluate, a, ga, b, gb, depth):
+    # depth-first scalar bisection: the rules sign_changes applies level
+    # by level, one real_rotation call per midpoint
+    flip = (ga > 0.0) != (gb > 0.0)
+    if depth <= 0:
+        return 1 if flip else 0
+    mid = 0.5 * (a + b)
+    gm = evaluate(mid)
+    if gm == 0.0:
+        return 1 if flip else 0
+    dip = abs(gm) < abs(ga) and abs(gm) < abs(gb)
+    total = 0
+    if (ga > 0.0) != (gm > 0.0) or dip:
+        total += _bracket_changes(evaluate, a, ga, mid, gm, depth - 1)
+    if (gm > 0.0) != (gb > 0.0) or dip:
+        total += _bracket_changes(evaluate, mid, gm, b, gb, depth - 1)
+    return total
+
+
+def reference_sign_changes(ens, grid_factor, max_refine):
+    n_dim = ens.dim
+    sign = -1.0 if n_dim % 2 else 1.0
+    base = np.arange(grid_factor * n_dim) * (TWO_PI / (grid_factor * n_dim))
+    nodes = np.unique(np.concatenate([base] + [spec.angles for spec in ens.spectra]))
+    g = np.array([real_rotation(ens, float(t)) for t in nodes])
+    nodes, g = nodes[g != 0.0], g[g != 0.0]
+
+    def evaluate(theta):
+        if theta >= TWO_PI:
+            return sign * real_rotation(ens, theta - TWO_PI)
+        return real_rotation(ens, theta)
+
+    total = sum(
+        _bracket_changes(evaluate, nodes[i], g[i], nodes[i + 1], g[i + 1], max_refine)
+        for i in range(len(nodes) - 1)
+    )
+    return total + _bracket_changes(
+        evaluate, nodes[-1], g[-1], nodes[0] + TWO_PI, sign * g[0], max_refine
+    )
+
+
+def test_sign_changes_matches_recursive_reference():
+    g = RngStream(SEED, 17).generator()
+    for n_dim in (2, 3, 4, 5, 7, 8, 12, 16, 25, 32, 47, 64, 96, 128) * 3:
+        n_terms = int(g.integers(1, 4))
+        specs = [eigenangles(haar_special_unitary(n_dim, 0.0, g)[0]) for _ in range(n_terms)]
+        coeffs = g.uniform(0.5, 2.0, size=n_terms) * g.choice([-1.0, 1.0], size=n_terms)
+        ens = CombinationEnsemble(coeffs, specs)
+        for grid_factor in (1, 8):
+            for max_refine in (0, 1, 20):
+                expected = reference_sign_changes(ens, grid_factor, max_refine)
+                assert sign_changes(ens, grid_factor, max_refine) == expected
+
+
+def test_sign_changes_is_level_synchronous(monkeypatch):
+    calls = []
+
+    def counting(angles, thetas):
+        calls.append(np.size(thetas))
+        return log_z_grid(angles, thetas)
+
+    monkeypatch.setattr(cuelab.ensembles, "log_z_grid", counting)
+    ens = make_ens([1.0, 1.0], 64, salt=18)
+    for max_refine in (0, 5, 20):
+        calls.clear()
+        sign_changes(ens, max_refine=max_refine)
+        assert 1 <= len(calls) <= max_refine + 1

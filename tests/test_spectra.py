@@ -10,6 +10,7 @@ from cuelab.errors import InvalidArgumentError, SingularPointError
 from cuelab.sampling import UnitaryMatrix
 from cuelab.spectra import (
     EigenangleSpectrum,
+    _check_regular,
     arc_count_value,
     count_in_arc,
     count_in_circular_arc,
@@ -97,6 +98,10 @@ def test_log_z_at_eigenangle_is_singular():
     spec = EigenangleSpectrum.from_angles(np.array([1.0, 2.0]))
     with pytest.raises(SingularPointError):
         log_z(spec, 2.0)
+    # the array form raises on any singular point and names it
+    _check_regular(spec.angles, np.array([0.5, 1.5]))
+    with pytest.raises(SingularPointError, match=r"t = 2\.0 "):
+        _check_regular(spec.angles, np.array([0.5, 2.0, 1.5]))
 
 
 def test_chain_route_log_matches_eigenvalue_route():
