@@ -29,6 +29,7 @@ from .sampling import (
     haar_special_unitary,
     haar_unitary,
     haar_unitary_qr_oracle,
+    haar_verblunsky,
     reflection_determinant,
     reflection_matrix,
     sample_unit_sphere,
@@ -43,6 +44,7 @@ from .spectra import (
     log_z,
     log_z_from_chain,
     log_z_grid,
+    log_z_verblunsky,
     trace_series_partial,
 )
 from .specfun import (

@@ -5,9 +5,9 @@ dominates all others in log-modulus and therefore dictates where the real
 rotation G changes sign — the "carrier wave".  This module computes the
 normalized log-moduli L_j, the exceptional set where domination fails, the
 circle subdivision with its base-angle selection, the roomy/narrow gap
-threshold of the subdivision, and the all-pairs narrow-pair counter
-chi_eps.  Every log Z value comes from one
-:func:`~cuelab.spectra.log_z_grid` call over all spectra of the ensemble.
+threshold of the subdivision, and the narrow-pair counter chi_eps.  Every
+log Z value comes from one :func:`~cuelab.spectra.log_z_grid` call over
+all spectra of the ensemble.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _THETA0_CANDIDATES = 64
+# Padding of the narrow_gap_count search keys: far above the rounding of an
+# angle sum, so no pair the exact predicate counts falls outside the search.
+_GAP_PAD = 1e-9
 
 
 def _log_norm(n_dim: int) -> float:
@@ -227,14 +230,30 @@ def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> flo
 
 
 def narrow_gap_count(spec: EigenangleSpectrum, eps: float) -> int:
-    """chi_eps: unordered eigenangle pairs at circular distance <= eps/N."""
+    """chi_eps: unordered eigenangle pairs at circular distance <= eps/N.
+
+    The angles are sorted in [0, 2pi), so the partners j > i of angle i lie
+    in a run just above it and, across the 0/2pi seam, in a run at the top
+    of the circle.  ``searchsorted`` finds both runs with keys padded by
+    1e-9, and the all-pairs predicate min(d, 2pi - d) <= eps/N then decides
+    each candidate, so the count is the all-pairs count exactly while only
+    nearby pairs are ever formed.
+    """
     if eps <= 0.0:
         raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
     n = spec.dim
     if n < 2:
         return 0
     a = spec.angles
-    d = np.abs(a[:, None] - a[None, :])
+    threshold = eps / n
+    # candidate partners of angle i: j in [i+1, near[i]) and j in [seam[i], n)
+    above = np.arange(1, n + 1)
+    near = np.maximum(np.searchsorted(a, a + threshold + _GAP_PAD, side="right"), above)
+    seam = np.maximum(np.searchsorted(a, a + (TWO_PI - threshold - _GAP_PAD)), near)
+    starts = np.concatenate([above, seam])
+    lengths = np.concatenate([near, np.full(n, n)]) - starts
+    first = np.repeat(np.tile(np.arange(n), 2), lengths)
+    second = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    d = np.abs(a[first] - a[second])
     d = np.minimum(d, TWO_PI - d)
-    iu = np.triu_indices(n, 1)
-    return int(np.sum(d[iu] <= eps / n))
+    return int(np.sum(d <= threshold))

@@ -32,18 +32,18 @@ from .errors import (
 )
 from .rng import RngStream
 from .sampling import (
-    haar_reflection_chain,
     haar_special_unitary,
     haar_unitary,
     haar_unitary_qr_oracle,
+    haar_verblunsky,
 )
 from .spectra import (
     TWO_PI,
     _check_regular,
     count_in_circular_arc,
     eigenangles,
-    log_z,
     log_z_from_chain,
+    log_z_verblunsky,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -411,21 +411,29 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
 
 
 _MOMENT_CASES = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+# Largest N a clt run accepts: one sample costs O(N) draws and O(N) work.
+_CLT_MAX_DIM = 1 << 16
+
+
+def _sample_log_z_at_zero(seed, group, k, dim) -> tuple[float, float]:
+    """(Re, Im) log Z(0) of the Haar U(dim) sample keyed by (seed, group, k)."""
+    gen = _stream(seed, group, k).generator()
+    re, im = log_z_verblunsky(haar_verblunsky(dim, gen), 0.0)
+    return float(re), float(im)
 
 
 def _sample_moment(seed, group, k, payload):
     dim, cases = payload
-    gen = _stream(seed, group, k).generator()
-    lz = log_z_from_chain(haar_reflection_chain(dim, gen))
-    return tuple(math.exp(s * lz.re + t * lz.im) for (s, t) in cases)
+    re, im = _sample_log_z_at_zero(seed, group, k, dim)
+    return tuple(math.exp(s * re + t * im) for (s, t) in cases)
 
 
 def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
     """Empirical E[e^{s Re log Z(0) + t Im log Z(0)}] against the closed form.
 
     Only the real slice t = 0 has an implemented reference value; the
-    empirical side uses the O(N^2) chain route, so no eigendecomposition
-    is involved.
+    empirical side reads log Z(0) from Haar Verblunsky coefficients in
+    O(N), so no matrix and no eigendecomposition is involved.
     """
     started = time.time()
     workers = cfg.resolved_workers()
@@ -550,29 +558,26 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
 # central limit behavior of log|Z|
 
 
-def _sample_clt(seed, group, k, payload):
-    (dim,) = payload
-    gen = _stream(seed, group, k).generator()
-    return (log_z_from_chain(haar_reflection_chain(dim, gen)).re,)
-
-
 def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
     """KS distance of log|Z(0)| / sqrt(log(N)/2) from the standard normal.
 
     A pure-normal control batch calibrates the sampling noise floor
-    1.36/sqrt(samples).  Dense sampling is capped at N = 512.
+    1.36/sqrt(samples).  Samples come from Verblunsky coefficients in O(N)
+    each, so N runs up to 2^16.
     """
     started = time.time()
     for dim in cfg.dims:
         if dim < 64:
             raise InvalidConfigError(f"clt check needs N >= 64, got N={dim}")
-        if dim > 512:
-            raise InvalidConfigError(f"dense clt runs are capped at N=512, got N={dim}")
+        if dim > _CLT_MAX_DIM:
+            raise InvalidConfigError(
+                f"clt runs are capped at N={_CLT_MAX_DIM}, got N={dim}"
+            )
     workers = cfg.resolved_workers()
     rows, checks = [], []
     ks_by_dim = {}
     for group, dim in enumerate(cfg.dims):
-        data = _collect(_sample_clt, cfg.seed, group, cfg.samples, (dim,), workers)
+        data = _collect(_sample_log_z_at_zero, cfg.seed, group, cfg.samples, dim, workers)
         normalized = data[:, 0] / math.sqrt(0.5 * math.log(dim))
         ks = float(stats.kstest(normalized, "norm").statistic)
         ks_by_dim[dim] = ks
@@ -634,23 +639,15 @@ _DELTA_GRID = (0.2, 0.1, 0.05)
 def _sample_tail_modulus(seed, group, k, payload):
     (dim,) = payload
     gen = _stream(seed, group, k).generator()
-    u, _ = haar_unitary(dim, gen)
-    spec = eigenangles(u)
+    alphas = haar_verblunsky(dim, gen)
     while True:
         theta = gen.uniform(0.0, TWO_PI)
         try:
-            lz = log_z(spec, theta)
+            re, im = log_z_verblunsky(alphas, theta)
             break
         except SingularPointError:
             continue
-    return (math.hypot(lz.re, lz.im),)
-
-
-def _sample_tail_chain(seed, group, k, payload):
-    (dim,) = payload
-    gen = _stream(seed, group, k).generator()
-    lz = log_z_from_chain(haar_reflection_chain(dim, gen))
-    return (lz.re, lz.im)
+    return (math.hypot(re, im),)
 
 
 def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
@@ -670,11 +667,11 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
         modulus = _collect(
             _sample_tail_modulus, cfg.seed, 2 * group, cfg.samples, (dim,), workers
         )[:, 0] / norm
-        chain_stats = _collect(
-            _sample_tail_chain, cfg.seed, 2 * group + 1, cfg.samples, (dim,), workers
+        at_zero = _collect(
+            _sample_log_z_at_zero, cfg.seed, 2 * group + 1, cfg.samples, dim, workers
         )
-        re_part = chain_stats[:, 0] / norm
-        im_part = np.abs(chain_stats[:, 1]) / norm
+        re_part = at_zero[:, 0] / norm
+        im_part = np.abs(at_zero[:, 1]) / norm
         p_mod, p_im, p_conc = {}, {}, {}
         for a in _A_GRID:
             est = MonteCarloEstimate.from_samples((modulus >= a).astype(float), cfg.seed)
@@ -737,18 +734,16 @@ def _sample_oscillation(seed, group, k, payload):
     dim, mu = payload
     alpha = mu / dim
     gen = _stream(seed, group, k).generator()
-    u, _ = haar_unitary(dim, gen)
-    spec = eigenangles(u)
+    alphas = haar_verblunsky(dim, gen)
     while True:
         theta = gen.uniform(0.0, TWO_PI)
         second = math.fmod(theta + alpha, TWO_PI)
         try:
-            first_lz = log_z(spec, theta)
-            second_lz = log_z(spec, second)
+            re, im = log_z_verblunsky(alphas, (theta, second))
             break
         except SingularPointError:
             continue
-    return (second_lz.re - first_lz.re, second_lz.im - first_lz.im)
+    return (float(re[1] - re[0]), float(im[1] - im[0]))
 
 
 def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:

@@ -13,6 +13,10 @@ Haar measure on the coset {det U = e^{iN theta}} of SU(N).
 
 An independent QR-based sampler (`haar_unitary_qr_oracle`) is provided
 purely as a statistical cross-check for the reflection construction.
+
+`haar_verblunsky` needs no matrix at all: it draws the N Verblunsky
+coefficients of a Haar U(N) spectral measure, from which
+:func:`~cuelab.spectra.log_z_verblunsky` evaluates log Z in O(N) per point.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "haar_special_unitary",
     "coupled_chain_pair",
     "coupled_pair",
+    "haar_verblunsky",
     "haar_unitary_qr_oracle",
 ]
 
@@ -302,6 +307,25 @@ def coupled_pair(N: int, theta: float, rng) -> tuple[UnitaryMatrix, UnitaryMatri
     """
     chain_su, chain_u = coupled_chain_pair(N, theta, rng)
     return chain_to_matrix(chain_su), chain_to_matrix(chain_u)
+
+
+def haar_verblunsky(N: int, rng) -> np.ndarray:
+    """Verblunsky coefficients alpha_0..alpha_{N-1} of a Haar U(N) matrix.
+
+    Killip-Nenciu: the spectral measure of Haar U(N) at e_1 has independent
+    coefficients with |alpha_k|^2 ~ Beta(1, N-k-1) and a uniform phase for
+    k < N-1, and a uniform unimodular alpha_{N-1}.  Everything comes from
+    one ``random(2N)`` block: u[k] sets |alpha_k| (u[N-1] is unused) and
+    u[N+k] its phase.  The Beta draw inverts the CDF on 1 - u in (0, 1], so
+    |alpha_k| < 1 strictly.  O(N) draws, and no matrix is formed.
+    """
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
+    gen = _generator(rng)
+    u = gen.random(2 * N)
+    radius = np.ones(N)
+    radius[:-1] = np.sqrt(-np.expm1(np.log(1.0 - u[: N - 1]) / np.arange(N - 1, 0, -1)))
+    return radius * np.exp(2j * np.pi * u[N:])
 
 
 def haar_unitary_qr_oracle(N: int, rng) -> UnitaryMatrix:

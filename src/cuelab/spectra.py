@@ -13,12 +13,18 @@ the reflection-chain evaluation of log Z(0).
 
 :func:`log_z_grid` is the one kernel that evaluates this sum over
 (eigenangles x points), for one spectrum or a stack of them; every value of
-Z or log Z on the circle in the package comes from it.  Z itself is only
-ever formed as exp(log Z), so no partial product can overflow at large N.
+Z or log Z on the circle that starts from eigenangles comes from it.  Z
+itself is only ever formed as exp(log Z), so no partial product can
+overflow at large N.
+
+:func:`log_z_verblunsky` reaches the same branch of log Z without any
+eigenangles, from the Verblunsky coefficients of the spectral measure
+(see :func:`~cuelab.sampling.haar_verblunsky`) by the Szego recursion.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,7 @@ __all__ = [
     "count_in_arc",
     "count_in_circular_arc",
     "log_z_from_chain",
+    "log_z_verblunsky",
     "trace_series_partial",
 ]
 
@@ -48,6 +55,8 @@ TWO_PI = 2.0 * np.pi
 # How close (circularly) an evaluation point may come to an eigenangle
 # before log Z is treated as singular.
 _SINGULAR_TOL = 1e-12
+# How far |alpha_(N-1)| may sit from 1 (a sampled e^{i phi} misses by ~1e-16).
+_UNIMODULAR_TOL = 1e-12
 # Most (angles x points) elements log_z_grid holds in one temporary array.
 _GRID_BLOCK = 1 << 18
 
@@ -109,9 +118,6 @@ class LogZ:
     re: float
     im: float
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 def eigenangles(u_mat: UnitaryMatrix) -> EigenangleSpectrum:
     """Extract the eigenangle spectrum of a unitary matrix.
@@ -159,6 +165,65 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
             im[..., lo:lo + step] = np.sum(0.5 * (v - np.pi), axis=-2)
     shape = angles.shape[:-1] + thetas.shape
     return re.reshape(shape), im.reshape(shape)
+
+
+def _szego_log(steps: list, last: complex, z: complex) -> tuple[complex, complex]:
+    """(sum_k log w_k, b_{N-1}) along the Szego recursion at the point z.
+
+    ``steps`` holds the pairs (alpha_k, conj alpha_k) for k < N-1 and
+    ``last`` is alpha_{N-1}.  b_0 = z, w_k = 1 - alpha_k b_k and
+    b_{k+1} = z (b_k - conj alpha_k) / w_k, so that prod_k w_k = Phi*_N(z).
+    Python complex scalars: at one or two points a numpy operation per step
+    costs more than the step itself.  Raises SingularPointError when
+    |w_{N-1}| < 1e-12.
+    """
+    b = z
+    total = 0j
+    for a, ac in steps:
+        w = 1.0 - a * b
+        total += cmath.log(w)
+        b = z * (b - ac) / w
+    w = 1.0 - last * b
+    if abs(w) < _SINGULAR_TOL:
+        raise SingularPointError(f"z = {z!r} is an eigenvalue: |w_(N-1)| = {abs(w):.3e}")
+    return total + cmath.log(w), b
+
+
+def log_z_verblunsky(alphas, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(Re log Z, Im log Z) from Verblunsky coefficients, with no eigenvalues.
+
+    ``alphas`` holds alpha_0..alpha_{N-1} of one spectral measure, shape
+    (N,), or a stack of them, shape (n, N): |alpha_k| < 1 for k < N-1 and
+    |alpha_{N-1}| = 1.  The results have the shape contract of
+    :func:`log_z_grid`.  With z = e^{it}, the Szego recursion gives
+    Phi*_N(z) = prod_k w_k and Z(t) = conj(Phi*_N(z)), so
+    log Z(t) = conj(sum_k log w_k) with each log on its principal branch.
+    In the open disc every w_k has positive real part, so this sum and the
+    summed-principal eigenangle sum are continuous logs of the same function
+    that agree at z = 0; their boundary values therefore coincide, and the
+    two routes share one branch on the circle.  w_{N-1} vanishes exactly at
+    an eigenvalue, and |w_{N-1}| < 1e-12 raises SingularPointError: the
+    analogue of the 1e-12 eigenangle rule of :func:`log_z`.  O(N) per point.
+    """
+    alphas = np.asarray(alphas, dtype=np.complex128)
+    if alphas.ndim not in (1, 2) or alphas.shape[-1] < 1:
+        raise InvalidArgumentError(f"alphas must have shape (N,) or (n, N), got {alphas.shape}")
+    moduli = np.abs(alphas)
+    if not np.all(moduli[..., :-1] < 1.0):
+        raise InvalidArgumentError("|alpha_k| must be < 1 for k < N-1")
+    if not np.all(np.abs(moduli[..., -1] - 1.0) <= _UNIMODULAR_TOL):
+        raise InvalidArgumentError("|alpha_(N-1)| must be 1")
+    thetas = np.asarray(thetas, dtype=np.float64)
+    points = np.exp(1j * thetas.ravel()).tolist()
+    rows = alphas.reshape(-1, alphas.shape[-1])
+    logs = np.empty((len(rows), len(points)), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        steps = list(zip(row[:-1].tolist(), row[:-1].conj().tolist()))
+        last = complex(row[-1])
+        for j, z in enumerate(points):
+            logs[i, j] = _szego_log(steps, last, z)[0]
+    shape = alphas.shape[:-1] + thetas.shape
+    return logs.real.reshape(shape), -logs.imag.reshape(shape)
 
 
 def _check_regular(angles, t) -> None:

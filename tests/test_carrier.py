@@ -18,7 +18,7 @@ from cuelab.carrier import (
 )
 from cuelab.ensembles import CombinationEnsemble
 from cuelab.errors import InvalidArgumentError, InvalidConfigError, SingularPointError
-from cuelab.spectra import eigenangles
+from cuelab.spectra import EigenangleSpectrum, eigenangles
 
 SEED = 60601
 
@@ -179,6 +179,31 @@ def test_narrow_gap_count_matches_brute_force():
                 d = min(d, 2 * np.pi - d)
                 brute += d <= eps / n_dim
         assert narrow_gap_count(spec, eps) == brute
+
+
+def all_pairs_count(spec, eps):
+    a = spec.angles
+    d = np.abs(a[:, None] - a[None, :])
+    d = np.minimum(d, 2 * np.pi - d)
+    return int(np.sum(d[np.triu_indices(spec.dim, 1)] <= eps / spec.dim))
+
+
+def test_narrow_gap_count_identical_to_all_pairs_at_the_boundary():
+    # eps on, just under and just over N times each of the smallest pair
+    # distances, including pairs across the 0/2pi seam
+    g = RngStream(SEED, 12).generator()
+    for n_dim in range(2, 65):
+        spec = eigenangles(haar_special_unitary(n_dim, 0.0, g)[0])
+        a = spec.angles
+        d = np.abs(a[:, None] - a[None, :])
+        d = np.sort(np.minimum(d, 2 * np.pi - d)[np.triu_indices(n_dim, 1)])
+        seam = 2 * np.pi - (a[-1] - a[0])
+        for eps in [*(n_dim * d[:4]), n_dim * seam, 0.5, 1.0, 3 * n_dim]:
+            for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf)):
+                assert narrow_gap_count(spec, e) == all_pairs_count(spec, e), (n_dim, e)
+    spec = EigenangleSpectrum.from_angles([0.0, 1e-3, 3.0, 2 * np.pi - 1e-3])
+    for eps in (4e-3, 8e-3 - 1e-12, 8e-3 + 1e-12):
+        assert narrow_gap_count(spec, eps) == all_pairs_count(spec, eps)
 
 
 def test_narrow_gap_count_extremes():

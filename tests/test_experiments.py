@@ -7,6 +7,8 @@ must all pass; the statistically heavy versions live in test_acceptance.
 import numpy as np
 import pytest
 
+from cuelab import experiments
+from cuelab.cli import main as cli_main
 from cuelab.errors import InvalidConfigError
 from cuelab.experiments import (
     ExperimentConfig,
@@ -21,7 +23,7 @@ from cuelab.experiments import (
     run_tail_checks,
     run_trace_covariance,
 )
-from cuelab.results import to_json_text
+from cuelab.results import read_record, to_json_text
 
 
 def failed_checks(record):
@@ -174,6 +176,26 @@ def test_clt_runner_operational_example():
     ks_large = by_label["N=512 ks-distance"]
     assert ks_large <= 0.08
     assert ks_large <= ks_small + 0.02
+
+
+def test_clt_cap_is_checked_before_sampling(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("sampled before the dimension check")
+
+    monkeypatch.setattr(experiments, "haar_verblunsky", no_draws)
+    cfg = ExperimentConfig(experiment="clt", dims=(64, (1 << 16) + 1), samples=100, seed=1)
+    with pytest.raises(InvalidConfigError):
+        run_clt_check(cfg)
+
+
+def test_clt_runs_past_the_old_dense_cap(tmp_path):
+    out = tmp_path / "clt.json"
+    argv = ["clt", "--dims", "64,4096", "--samples", "200", "--format", "json"]
+    assert cli_main(argv + ["--out", str(out)]) in (0, 1)
+    ks = {row.label: row.mean for row in read_record(str(out)).estimates}
+    for dim in (64, 4096):
+        assert np.isfinite(ks[f"N={dim} ks-distance"])
+        assert 0.0 < ks[f"N={dim} ks-distance"] < 1.0
 
 
 def test_tail_runner_checks_pass():

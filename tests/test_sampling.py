@@ -7,6 +7,7 @@ we verify the algebraic postconditions that must hold sample by sample.
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cuelab import (
     RngStream,
@@ -19,8 +20,13 @@ from cuelab import (
     haar_unitary_qr_oracle,
 )
 from cuelab.errors import InvalidArgumentError, InvalidDimensionError
-from cuelab.sampling import reflection_determinant, reflection_matrix, sample_unit_sphere
-from cuelab.spectra import eigenangles, log_z_from_chain
+from cuelab.sampling import (
+    haar_verblunsky,
+    reflection_determinant,
+    reflection_matrix,
+    sample_unit_sphere,
+)
+from cuelab.spectra import eigenangles, log_z, log_z_from_chain, log_z_verblunsky
 
 SEED = 8675309
 
@@ -193,3 +199,59 @@ def test_bad_dimensions_rejected():
         haar_special_unitary(0, 0.0, g)
     with pytest.raises((InvalidArgumentError, InvalidDimensionError)):
         sample_unit_sphere(0, g)
+
+
+# ---------------------------------------------------------------------------
+# Verblunsky coefficients of Haar U(N)
+# ---------------------------------------------------------------------------
+
+
+def test_verblunsky_draw_postconditions():
+    for n_dim in (1, 2, 7, 40):
+        alphas = haar_verblunsky(n_dim, gen(30 + n_dim))
+        assert alphas.shape == (n_dim,) and alphas.dtype == np.complex128
+        assert np.all(np.abs(alphas[:-1]) < 1.0)
+        assert abs(abs(alphas[-1]) - 1.0) < 1e-15
+        # one random(2N) block per draw, so the stream stays aligned
+        g = gen(30 + n_dim)
+        g.random(2 * n_dim)
+        after = gen(30 + n_dim)
+        haar_verblunsky(n_dim, after)
+        assert after.random() == g.random()
+    np.testing.assert_array_equal(haar_verblunsky(9, gen(5)), haar_verblunsky(9, RngStream(SEED, 5)))
+    with pytest.raises(InvalidDimensionError):
+        haar_verblunsky(0, gen())
+
+
+def test_verblunsky_law_matches_dense_sampler():
+    # Same law of log Z(theta) and of both oscillation increments as the
+    # dense reflection sampler read through its eigenangles, at N = 16.
+    n_dim, n_samples, shift = 16, 4000, 8 * np.pi / 16
+    g = gen(40)
+    verblunsky, dense = [], []
+    moduli = np.empty((n_samples, n_dim))
+    for i in range(n_samples):
+        alphas = haar_verblunsky(n_dim, g)
+        moduli[i] = np.abs(alphas) ** 2
+        theta = g.uniform(0.0, 2 * np.pi)
+        re, im = log_z_verblunsky(alphas, (theta, theta + shift))
+        verblunsky.append((re[0], im[0], re[1] - re[0], im[1] - im[0]))
+    for _ in range(n_samples):
+        spec = eigenangles(haar_unitary(n_dim, g)[0])
+        theta = g.uniform(0.0, 2 * np.pi)
+        first, second = log_z(spec, theta), log_z(spec, (theta + shift) % (2 * np.pi))
+        dense.append((first.re, first.im, second.re - first.re, second.im - first.im))
+    verblunsky, dense = np.array(verblunsky), np.array(dense)
+    # The Im increment is -N shift/2 + pi (eigenangles in the arc): a lattice
+    # whose rounding noise differs between routes, so compare the arc counts.
+    for sample in (verblunsky, dense):
+        sample[:, 3] = np.round(sample[:, 3] / np.pi + n_dim * shift / (2 * np.pi))
+    for col, name in enumerate(("Re log Z", "Im log Z", "Re increment", "arc count")):
+        p = stats.ks_2samp(verblunsky[:, col], dense[:, col]).pvalue
+        assert p >= 0.01, f"{name}: KS p = {p:.4g}"
+    # E|alpha_k|^2 = 1/(N - k): the mean of Beta(1, N-k-1), and 1 at k = N-1
+    target = 1.0 / (n_dim - np.arange(n_dim))
+    stderr = moduli.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    np.testing.assert_allclose(moduli[:, -1], 1.0, atol=1e-15)
+    z = (moduli[:, :-1].mean(axis=0) - target[:-1]) / stderr[:-1]
+    assert np.max(np.abs(z)) <= 4.0, f"|alpha_k|^2 z-scores {np.round(z, 2)}"

@@ -7,10 +7,11 @@ import pytest
 
 from cuelab import RngStream, chain_to_matrix, haar_reflection_chain, haar_unitary
 from cuelab.errors import InvalidArgumentError, SingularPointError
-from cuelab.sampling import UnitaryMatrix
+from cuelab.sampling import UnitaryMatrix, haar_verblunsky
 from cuelab.spectra import (
     EigenangleSpectrum,
     _check_regular,
+    _szego_log,
     arc_count_value,
     count_in_arc,
     count_in_circular_arc,
@@ -18,6 +19,7 @@ from cuelab.spectra import (
     log_z,
     log_z_from_chain,
     log_z_grid,
+    log_z_verblunsky,
     trace_series_partial,
 )
 
@@ -112,6 +114,75 @@ def test_chain_route_log_matches_eigenvalue_route():
         b = log_z_from_chain(chain)
         assert abs(a.re - b.re) < 1e-9
         assert abs(a.im - b.im) < 1e-9
+
+
+def szego_polynomial(alphas):
+    """Coefficients of Phi_N, highest degree first, by the Szego recursion
+    Phi_{k+1}(z) = z Phi_k(z) - conj(alpha_k) Phi*_k(z)."""
+    phi = np.array([1.0 + 0.0j])
+    for a in alphas:
+        star = np.conj(phi[::-1])
+        phi = np.append(phi, 0.0) - np.conj(a) * np.insert(star, 0, 0.0)
+    return phi
+
+
+def test_verblunsky_route_matches_eigenangle_route():
+    # Phi_N(z) = det(z - U): its roots give the eigenangles of the same draw
+    g = RngStream(SEED, 12).generator()
+    worst_re = worst_im = 0.0
+    for n_dim in range(1, 25):
+        for _ in range(20):
+            alphas = haar_verblunsky(n_dim, g)
+            angles = np.mod(np.angle(np.roots(szego_polynomial(alphas))), 2 * np.pi)
+            thetas = np.concatenate([[0.0], g.uniform(0.0, 2 * np.pi, 5)])
+            re, im = log_z_verblunsky(alphas, thetas)
+            ref_re, ref_im = log_z_grid(angles, thetas)
+            worst_re = max(worst_re, np.max(np.abs(re - ref_re)))
+            # a branch slip would show as a multiple of 2 pi
+            worst_im = max(worst_im, np.max(np.abs(im - ref_im)))
+    assert worst_re < 1e-9
+    assert worst_im < 1e-9
+
+
+def test_verblunsky_shapes_closed_form_and_errors():
+    g = RngStream(SEED, 13).generator()
+    # N = 1: Z(t) = conj(1 - alpha_0 e^{it})
+    alpha = np.exp(1j * 2.3)
+    for t in (0.0, 1.0, 4.4):
+        re, im = log_z_verblunsky([alpha], t)
+        expect = np.conj(np.log(1.0 - alpha * np.exp(1j * t)))
+        assert abs(re - expect.real) < 1e-12 and abs(im - expect.imag) < 1e-12
+    with pytest.raises(SingularPointError):
+        log_z_verblunsky([alpha], -2.3)
+    stack = np.stack([haar_verblunsky(6, g) for _ in range(3)])
+    re, im = log_z_verblunsky(stack, np.zeros((2, 4)))
+    assert re.shape == im.shape == (3, 2, 4)
+    assert log_z_verblunsky(stack[0], 0.5)[0].shape == ()
+    good = haar_verblunsky(5, g)
+    for bad in (1.0, 1.5, np.nan):
+        alphas = good.copy()
+        alphas[2] = bad
+        with pytest.raises(InvalidArgumentError):
+            log_z_verblunsky(alphas, 0.0)
+    for bad in (0.5, 1.0 + 1e-9, np.nan):
+        alphas = good.copy()
+        alphas[-1] = bad
+        with pytest.raises(InvalidArgumentError):
+            log_z_verblunsky(alphas, 0.0)
+
+
+def test_szego_recursion_stays_on_the_circle_at_large_n():
+    # |b_k| = 1 on the circle in exact arithmetic; rounding must not push it off
+    n_dim = 1 << 16
+    alphas = haar_verblunsky(n_dim, RngStream(SEED, 14).generator())
+    steps = list(zip(alphas[:-1].tolist(), alphas[:-1].conj().tolist()))
+    for t in (0.0, 2.0):
+        z = complex(np.exp(1j * t))
+        for k in (1 << 8, 1 << 12, 1 << 14, n_dim - 1):
+            _, b = _szego_log(steps[:k], complex(alphas[-1]), z)
+            assert abs(abs(b) - 1.0) < 1e-9
+    re, im = log_z_verblunsky(alphas, [0.0, 2.0])
+    assert np.all(np.isfinite(re)) and np.all(np.abs(im) < n_dim * np.pi / 2)
 
 
 def test_arc_identity_on_a_small_batch():
