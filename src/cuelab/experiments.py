@@ -1,14 +1,18 @@
 """Seeded Monte Carlo harness for the identity checks and the headline run.
 
 Every experiment follows the same pattern: a module-level sample function
-maps (seed, group, sample index) to a tuple of floats, a collector evaluates
-it for every index — in process or on a spawn-based pool — and the reduction
-walks the samples in index order.  Because the RNG stream of a sample is a
-pure function of (seed, group, index), the emitted tables are bit-identical
-no matter how many workers participated.
+maps (seed, group, sample index) to a tuple of floats, and a runner hands
+all of its (sample function, group, payload) jobs — one per N, two per N
+for ``tails`` — to a single collector call.  The collector evaluates every
+job at every index, in process or on one spawn-based pool shared by all
+jobs, and the reduction walks the samples in index order.  Because the RNG
+stream of a sample is a pure function of (seed, group, index), the emitted
+tables are bit-identical no matter how many workers participated.
 
 The number of workers defaults to the CUELAB_WORKERS environment variable
-(falling back to 1); an ExperimentConfig can pin it explicitly.
+(falling back to 1); an ExperimentConfig can pin it explicitly.  Importing
+this module loads no scipy: the statistics and special functions import it
+where they are called, so spawn workers start without it.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 import multiprocessing
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateCombinationError,
@@ -238,24 +241,41 @@ def _chunk_eval(fn, seed, group, indices, payload):
     return [fn(seed, group, k, payload) for k in indices]
 
 
-def _collect(fn, seed, group, n_samples, payload, workers) -> np.ndarray:
-    """Evaluate fn for indices 0..n_samples-1; rows come back in index order."""
+def _collect(seed, n_samples, jobs, workers) -> list[np.ndarray]:
+    """Evaluate every job ``(fn, group, payload)`` at indices 0..n_samples-1.
+
+    Returns one array per job, its rows in index order.  With more than one
+    worker a single spawn pool takes the chunks of every job before any
+    result is awaited; the first chunk that raises cancels the queued rest
+    and its exception propagates unchanged.
+    """
     if workers <= 1:
-        rows = [fn(seed, group, k, payload) for k in range(n_samples)]
-    else:
-        pieces = [
-            c.tolist()
-            for c in np.array_split(np.arange(n_samples), workers * 4)
-            if c.size
+        return [
+            np.asarray(_chunk_eval(fn, seed, group, range(n_samples), payload), dtype=float)
+            for fn, group, payload in jobs
         ]
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    pieces = [
+        c.tolist() for c in np.array_split(np.arange(n_samples), workers * 4) if c.size
+    ]
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        try:
             futures = [
-                pool.submit(_chunk_eval, fn, seed, group, piece, payload)
-                for piece in pieces
+                [pool.submit(_chunk_eval, fn, seed, group, piece, payload) for piece in pieces]
+                for fn, group, payload in jobs
             ]
-            rows = [row for fut in futures for row in fut.result()]
-    return np.asarray(rows, dtype=float)
+            flat = [fut for job in futures for fut in job]
+            done, _ = wait(flat, return_when=FIRST_EXCEPTION)
+            failed = [fut for fut in flat if fut in done and fut.exception() is not None]
+            if failed:
+                raise failed[0].exception()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return [
+        np.asarray([row for fut in job for row in fut.result()], dtype=float)
+        for job in futures
+    ]
 
 
 def _check(name: str, passed, detail: str = "") -> dict:
@@ -329,9 +349,11 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     rows, checks = [], []
     means, stderrs = [], []
     degenerate = {}
-    for group, dim in enumerate(cfg.dims):
-        payload = (dim, cfg.grid_factor, cfg.coefficients)
-        data = _collect(_sample_fraction, cfg.seed, group, cfg.samples, payload, workers)
+    jobs = [
+        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients))
+        for group, dim in enumerate(cfg.dims)
+    ]
+    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
         kept = data[data[:, 1] == 0.0]
         degenerate[f"N={dim}"] = int(len(data) - len(kept))
         if len(kept) < 2:
@@ -439,9 +461,8 @@ def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
     workers = cfg.resolved_workers()
     rows, checks = [], []
     zs = {}
-    for group, dim in enumerate(cfg.dims):
-        payload = (dim, _MOMENT_CASES)
-        data = _collect(_sample_moment, cfg.seed, group, cfg.samples, payload, workers)
+    jobs = [(_sample_moment, group, (dim, _MOMENT_CASES)) for group, dim in enumerate(cfg.dims)]
+    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
         for i, (s, t) in enumerate(_MOMENT_CASES):
             est = MonteCarloEstimate.from_samples(data[:, i], cfg.seed)
             reference = joint_mgf_rhs(s, t, dim)
@@ -509,9 +530,8 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
             f"trace powers up to {max_power} exceed the 4N window at N={dim}"
         )
     powers = tuple(sorted({p for pair in _TRACE_PAIRS for p in pair}))
-    workers = cfg.resolved_workers()
-    data = _collect(
-        _sample_traces, cfg.seed, 0, cfg.samples, (dim, powers), workers
+    (data,) = _collect(
+        cfg.seed, cfg.samples, [(_sample_traces, 0, (dim, powers))], cfg.resolved_workers()
     )
     rows, checks = [], []
     zs = {}
@@ -534,6 +554,8 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
                     f"z_re={z_re:.3f} z_im={z_im:.3f} target={target:g}",
                 )
             )
+    from scipy import stats
+
     ks = stats.ks_2samp(data[:, -2], data[:, -1])
     rows.append(_value_row("sampler KS statistic", float(ks.statistic), cfg.seed, cfg.samples))
     checks.append(
@@ -573,11 +595,13 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
             raise InvalidConfigError(
                 f"clt runs are capped at N={_CLT_MAX_DIM}, got N={dim}"
             )
+    from scipy import stats
+
     workers = cfg.resolved_workers()
     rows, checks = [], []
     ks_by_dim = {}
-    for group, dim in enumerate(cfg.dims):
-        data = _collect(_sample_log_z_at_zero, cfg.seed, group, cfg.samples, dim, workers)
+    jobs = [(_sample_log_z_at_zero, group, dim) for group, dim in enumerate(cfg.dims)]
+    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
         normalized = data[:, 0] / math.sqrt(0.5 * math.log(dim))
         ks = float(stats.kstest(normalized, "norm").statistic)
         ks_by_dim[dim] = ks
@@ -662,14 +686,14 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
     started = time.time()
     workers = cfg.resolved_workers()
     rows, checks = [], []
+    jobs = []
     for group, dim in enumerate(cfg.dims):
+        jobs.append((_sample_tail_modulus, 2 * group, (dim,)))
+        jobs.append((_sample_log_z_at_zero, 2 * group + 1, dim))
+    data = _collect(cfg.seed, cfg.samples, jobs, workers)
+    for dim, tail, at_zero in zip(cfg.dims, data[0::2], data[1::2]):
         norm = math.sqrt(math.log(dim))
-        modulus = _collect(
-            _sample_tail_modulus, cfg.seed, 2 * group, cfg.samples, (dim,), workers
-        )[:, 0] / norm
-        at_zero = _collect(
-            _sample_log_z_at_zero, cfg.seed, 2 * group + 1, cfg.samples, dim, workers
-        )
+        modulus = tail[:, 0] / norm
         re_part = at_zero[:, 0] / norm
         im_part = np.abs(at_zero[:, 1]) / norm
         p_mod, p_im, p_conc = {}, {}, {}
@@ -754,16 +778,15 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
     N = 10^4, mu = 20 pi next to its large-N asymptote 1 + gamma + f(mu).
     """
     started = time.time()
-    workers = cfg.resolved_workers()
-    rows, checks = [], []
-    for group, dim in enumerate(cfg.dims):
+    for dim in cfg.dims:
         if cfg.mu > TWO_PI * dim:
             raise InvalidConfigError(
                 f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}"
             )
-        data = _collect(
-            _sample_oscillation, cfg.seed, group, cfg.samples, (dim, cfg.mu), workers
-        )
+    workers = cfg.resolved_workers()
+    rows, checks = [], []
+    jobs = [(_sample_oscillation, group, (dim, cfg.mu)) for group, dim in enumerate(cfg.dims)]
+    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
         reference = oscillation_variance_exact(dim, cfg.mu)
         est_re = MonteCarloEstimate.from_samples(data[:, 0] ** 2, cfg.seed)
         est_im = MonteCarloEstimate.from_samples(data[:, 1] ** 2, cfg.seed)
@@ -831,9 +854,10 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     the quadrature prediction by about 8.
     """
     started = time.time()
-    workers = cfg.resolved_workers()
     dim = cfg.dims[0]
-    data = _collect(_sample_gaps, cfg.seed, 0, cfg.samples, (dim, _EPS_GRID), workers)
+    (data,) = _collect(
+        cfg.seed, cfg.samples, [(_sample_gaps, 0, (dim, _EPS_GRID))], cfg.resolved_workers()
+    )
     rows, checks = [], []
     quad = {}
     for i, eps in enumerate(_EPS_GRID):
@@ -948,10 +972,11 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     sum_k max(0, nu_k - 2 - 2 psi_k) against the measured sign-change count.
     """
     started = time.time()
-    workers = cfg.resolved_workers()
     dim = cfg.dims[0]
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
-    data = _collect(_sample_carrier, cfg.seed, 0, cfg.samples, payload, workers)
+    (data,) = _collect(
+        cfg.seed, cfg.samples, [(_sample_carrier, 0, payload)], cfg.resolved_workers()
+    )
     kept = data[~np.isnan(data[:, 0])]
     excluded = int(len(data) - len(kept))
     if len(kept) < 2:

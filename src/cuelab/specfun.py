@@ -7,6 +7,9 @@ characteristic function of the beta decomposition, the exact second moment
 of the oscillation increment Re log Z(mu/N) - Re log Z(0), sine/cosine
 integrals with the asymptotic profile f(mu), and the CUE two-point
 correlation density with its pair-count quadrature.
+
+Each function imports the scipy routine it calls, so importing cuelab (and
+so starting a spawn worker, which imports it) loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, loggamma, polygamma, sici, zeta
 
 from .errors import InvalidArgumentError, OutOfDomainError
 
@@ -54,6 +55,8 @@ def _log_g_base(y: float) -> float:
     """
     if y == 0.0:
         return 0.0
+    from scipy.special import zeta
+
     n = np.arange(1.0, _BASE_TERMS + 1.0)
     head = float(np.sum(n * np.log1p(y / n) - y + y * y / (2.0 * n)))
     # n log(1+y/n) - y + y^2/2n = sum_{k>=3} (-1)^{k+1} y^k / (k n^{k-1});
@@ -169,6 +172,8 @@ def beta_charfn(j: int, s: float, t: float) -> complex:
         for w in (a.real, b.real):
             if w <= 0.0 and abs(w - round(w)) < 1e-12:
                 return 0.0 + 0.0j
+    from scipy.special import loggamma
+
     log_num = loggamma(complex(j)) + loggamma(j + 1j * t)
     log_den = loggamma(complex(a)) + loggamma(complex(b))
     return complex(np.exp(log_num - log_den))
@@ -195,6 +200,8 @@ def oscillation_variance_exact(n_dim: int, mu: float) -> float:
     cos_k = np.cos(k * alpha)
     head = float(np.sum((1.0 - cos_k) / k))
     full_cos_series = math.pi**2 / 6.0 - 0.5 * math.pi * alpha + 0.25 * alpha * alpha
+    from scipy.special import polygamma
+
     trigamma = float(polygamma(1, n_dim + 1))
     tail = n_dim * (trigamma - full_cos_series + float(np.sum(cos_k / k**2)))
     return head + tail
@@ -205,6 +212,8 @@ def si(z: float) -> float:
     z = float(z)
     if z < 0.0:
         raise OutOfDomainError(f"si requires z >= 0, got {z!r}")
+    from scipy.special import sici
+
     return float(sici(z)[0])
 
 
@@ -213,6 +222,8 @@ def ci(z: float) -> float:
     z = float(z)
     if z <= 0.0:
         raise OutOfDomainError(f"ci requires z > 0, got {z!r}")
+    from scipy.special import sici
+
     return float(sici(z)[1])
 
 
@@ -225,6 +236,8 @@ def f_mu(mu: float) -> float:
     mu = float(mu)
     if mu <= 0.0:
         raise OutOfDomainError(f"f_mu requires mu > 0, got {mu!r}")
+    from scipy.special import sici
+
     si_v, ci_v = sici(mu)
     return math.log(mu) + 0.5 * math.pi * mu - math.cos(mu) - float(ci_v) - mu * float(si_v)
 
@@ -244,6 +257,8 @@ def f_mu_integral(mu: float) -> float:
     mu = float(mu)
     if mu <= 0.0:
         raise OutOfDomainError(f"f_mu_integral requires mu > 0, got {mu!r}")
+    from scipy.integrate import quad
+
     tail, _ = quad(lambda x: 1.0 / (x * x), mu, np.inf, weight="cos", wvar=1.0, limit=400)
     head, _ = quad(lambda x: (math.cos(x) - 1.0) / x, 0.0, mu, limit=400)
     return -EULER_GAMMA - mu * tail - head
@@ -275,5 +290,7 @@ def expected_narrow_pairs(n_dim: int, eps: float) -> float:
     """
     if eps <= 0.0:
         raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
+    from scipy.integrate import quad
+
     value, _ = quad(lambda d: two_point_correlation(n_dim, d), 0.0, float(eps) / n_dim, limit=200)
     return value / TWO_PI

@@ -4,12 +4,19 @@ Each runner gets a seeded smoke run whose internal consistency checks
 must all pass; the statistically heavy versions live in test_acceptance.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cuelab
 from cuelab import experiments
 from cuelab.cli import main as cli_main
-from cuelab.errors import InvalidConfigError
+from cuelab.errors import CuelabError, InvalidConfigError
 from cuelab.experiments import (
     ExperimentConfig,
     MonteCarloEstimate,
@@ -118,6 +125,75 @@ def test_records_identical_for_any_worker_count():
     serial = run_gap_check(ExperimentConfig(**base, workers=1))
     pooled = run_gap_check(ExperimentConfig(**base, workers=2))
     assert to_json_text(serial) == to_json_text(pooled)
+
+
+@pytest.mark.parametrize(
+    "runner, base",
+    [
+        (run_tail_checks, dict(experiment="tails", dims=(8, 16), samples=40, seed=4)),
+        (run_fraction_on_circle, dict(experiment="fraction", dims=(8, 12), samples=12, seed=5)),
+        (run_clt_check, dict(experiment="clt", dims=(64, 128), samples=200, seed=6)),
+    ],
+)
+def test_multi_job_records_identical_for_any_worker_count(runner, base):
+    serial = runner(ExperimentConfig(**base, workers=1))
+    pooled = runner(ExperimentConfig(**base, workers=2))
+    assert to_json_text(serial) == to_json_text(pooled)
+
+
+def test_one_spawn_pool_per_runner_call(monkeypatch):
+    started = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cases = [
+        (run_moment_check, dict(experiment="moments", dims=(2, 3), samples=40, seed=7)),
+        # two jobs per N: four jobs, one pool
+        (run_tail_checks, dict(experiment="tails", dims=(8, 16), samples=40, seed=8)),
+    ]
+    for runner, base in cases:
+        for workers, pools in ((1, 0), (2, 1)):
+            started.clear()
+            runner(ExperimentConfig(**base, workers=workers))
+            assert len(started) == pools, (base["experiment"], workers)
+
+
+def test_worker_error_propagates_unchanged(monkeypatch, capsys):
+    # the carrier subdivision needs N >= 4; the sample function rejects N = 2
+    raised = []
+    for workers in (1, 2):
+        cfg = ExperimentConfig(experiment="carrier", dims=(2,), samples=40, seed=1, workers=workers)
+        with pytest.raises(CuelabError) as info:
+            run_carrier_diagnostics(cfg)
+        raised.append(info.type)
+    assert raised == [InvalidConfigError, InvalidConfigError]
+    monkeypatch.setenv("CUELAB_WORKERS", "2")
+    assert cli_main(["carrier", "--dims", "2", "--samples", "40"]) == 1
+    assert "error: subdivision requires integer N >= 4" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_until_needed():
+    script = textwrap.dedent(
+        """
+        import sys
+        import cuelab, cuelab.cli
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert loaded == [], loaded
+        assert cuelab.cli.main(["selftest"]) == 0
+        assert cuelab.cli.main(["clt", "--dims", "64", "--samples", "1500", "--seed", "52009"]) == 0
+        assert "scipy.stats" in sys.modules
+        """
+    )
+    src = str(Path(cuelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, CUELAB_WORKERS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
