@@ -24,7 +24,6 @@ from .sampling import (
     UnitaryMatrix,
     chain_to_matrix,
     coupled_chain_pair,
-    coupled_pair,
     haar_reflection_chain,
     haar_special_unitary,
     haar_unitary,
@@ -32,7 +31,6 @@ from .sampling import (
     haar_verblunsky,
     reflection_determinant,
     reflection_matrix,
-    sample_unit_sphere,
 )
 from .spectra import (
     EigenangleSpectrum,
@@ -45,7 +43,6 @@ from .spectra import (
     log_z_from_chain,
     log_z_grid,
     log_z_verblunsky,
-    trace_series_partial,
 )
 from .specfun import (
     EULER_GAMMA,
@@ -75,7 +72,6 @@ from .carrier import (
     CarrierWaveConfig,
     carrier_wave_index,
     exceptional_mask,
-    exceptional_set_measure,
     narrow_gap_count,
     narrow_gap_threshold,
     normalized_logs,
@@ -83,7 +79,6 @@ from .carrier import (
 )
 from .experiments import (
     ExperimentConfig,
-    MonteCarloEstimate,
     run_carrier_diagnostics,
     run_clt_check,
     run_fraction_on_circle,

@@ -3,11 +3,16 @@
 Away from an exceptional set of angles, one term of the combination
 dominates all others in log-modulus and therefore dictates where the real
 rotation G changes sign — the "carrier wave".  This module computes the
-normalized log-moduli L_j, the exceptional set where domination fails, the
-circle subdivision with its base-angle selection, the roomy/narrow gap
-threshold of the subdivision, and the narrow-pair counter chi_eps.  Every
-log Z value comes from one :func:`~cuelab.spectra.log_z_grid` call over
-all spectra of the ensemble.
+normalized log-moduli L_j, the exceptional set where domination fails and
+the carrier index, the circle subdivision with its base-angle selection,
+the roomy/narrow gap threshold of the subdivision, and the narrow-pair
+counter chi_eps.
+
+The L_j functions work on whole batches of points, as the carrier runner
+uses them: :func:`normalized_logs` takes every point in one
+:func:`~cuelab.spectra.log_z_grid` call over all spectra of the ensemble,
+and :func:`exceptional_mask` and :func:`carrier_wave_index` read its
+(n, ...) array.
 """
 
 from __future__ import annotations
@@ -19,13 +24,12 @@ import numpy as np
 
 from .ensembles import CombinationEnsemble
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, EigenangleSpectrum, _check_regular, log_z_grid
+from .spectra import TWO_PI, EigenangleSpectrum, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
     "normalized_logs",
     "exceptional_mask",
-    "exceptional_set_measure",
     "carrier_wave_index",
     "subdivision",
     "narrow_gap_threshold",
@@ -38,32 +42,30 @@ _THETA0_CANDIDATES = 64
 _GAP_PAD = 1e-9
 
 
-def _log_norm(n_dim: int) -> float:
-    if n_dim < 2:
+def normalized_logs(ens: CombinationEnsemble, thetas) -> np.ndarray:
+    """L_j(theta) = log|Z_j(theta)| / sqrt(log(N)/2) for each spectrum.
+
+    One kernel call for all spectra and points; the shape is
+    (n,) + np.shape(thetas), and L_j is -inf where theta is an eigenangle
+    of spectrum j.
+    """
+    if ens.dim < 2:
         raise InvalidArgumentError("log-modulus normalization requires N >= 2")
-    return math.sqrt(0.5 * math.log(n_dim))
+    return log_z_grid(ens.angles, thetas)[0] / math.sqrt(0.5 * math.log(ens.dim))
 
 
-def _re_logs_at(ens: CombinationEnsemble, theta: float) -> np.ndarray:
-    """Re log Z_j(theta) for each spectrum, raising on an eigenangle."""
-    theta = float(theta)
-    _check_regular(ens.angles, theta)
-    return log_z_grid(ens.angles, theta)[0]
+def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
+    """Pointwise membership in the exceptional set E_delta.
 
-
-def normalized_logs(ens: CombinationEnsemble, theta: float) -> np.ndarray:
-    """L_j(theta) = log|Z_j(theta)| / sqrt(log(N)/2) for each spectrum."""
-    norm = _log_norm(ens.dim)
-    return _re_logs_at(ens, theta) / norm
-
-
-def _grid_logs(ens: CombinationEnsemble, thetas) -> np.ndarray:
-    """L_j at every theta, shape (n,) + np.shape(thetas); -inf on an eigenangle."""
-    return log_z_grid(ens.angles, thetas)[0] / _log_norm(ens.dim)
-
-
-def _exceptional(logs: np.ndarray, delta: float) -> np.ndarray:
-    """E_delta membership from normalized logs of shape (n, ...)."""
+    ``logs`` holds the normalized logs of shape (n, ...) from
+    :func:`normalized_logs`.  A point is exceptional iff some
+    |L_i| >= 1/delta or some pair satisfies |L_i - L_j| <= delta.  Both
+    conditions are monotone in delta, so membership is pointwise
+    nondecreasing in delta.
+    """
+    delta = float(delta)
+    if not (0.0 < delta < 0.5):
+        raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
     mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
     n = logs.shape[0]
     for i in range(n):
@@ -76,40 +78,14 @@ def _exceptional(logs: np.ndarray, delta: float) -> np.ndarray:
     return mask
 
 
-def exceptional_mask(ens: CombinationEnsemble, delta: float, thetas: np.ndarray) -> np.ndarray:
-    """Pointwise membership of thetas in the exceptional set E_delta.
+def carrier_wave_index(logs: np.ndarray) -> np.ndarray:
+    """1-based index of the term with the largest L_j at every point.
 
-    theta is exceptional iff some |L_i(theta)| >= 1/delta or some pair
-    satisfies |L_i - L_j| <= delta.  Both conditions are monotone in delta,
-    so membership is pointwise nondecreasing in delta.
+    ``logs`` has shape (n, ...) as from :func:`normalized_logs`; ties break
+    to the lowest index.  On an eigenangle the index is meaningless, so a
+    caller that reads it checks its points with ``spectra._check_regular``.
     """
-    delta = float(delta)
-    if not (0.0 < delta < 0.5):
-        raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
-    return _exceptional(_grid_logs(ens, thetas), delta)
-
-
-def exceptional_set_measure(ens: CombinationEnsemble, delta: float, grid: int | None = None) -> float:
-    """Normalized Lebesgue measure of E_delta, estimated on a uniform grid.
-
-    The grid uses midpoints ((k + 1/2) * 2pi/grid) so that structured
-    spectra cannot collide with grid nodes; grid must be >= 64*N.
-    """
-    if grid is None:
-        grid = 64 * ens.dim
-    if not isinstance(grid, (int, np.integer)) or grid < 64 * ens.dim:
-        raise InvalidArgumentError(f"grid must be an integer >= 64*N = {64 * ens.dim}, got {grid!r}")
-    thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    return float(np.mean(exceptional_mask(ens, delta, thetas)))
-
-
-def carrier_wave_index(ens: CombinationEnsemble, theta: float) -> int:
-    """1-based index of the term with the largest Re log Z at theta.
-
-    Ties break to the lowest index.  Raises singular-point if theta sits on
-    an eigenangle of any spectrum (where some Re log Z is -inf).
-    """
-    return int(np.argmax(_re_logs_at(ens, theta))) + 1
+    return np.argmax(logs, axis=0) + 1
 
 
 @dataclass

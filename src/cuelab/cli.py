@@ -13,33 +13,10 @@ import sys
 from numpy.linalg import LinAlgError
 
 from .errors import CuelabError, InvalidConfigError
-from .experiments import (
-    ExperimentConfig,
-    run_carrier_diagnostics,
-    run_clt_check,
-    run_fraction_on_circle,
-    run_gap_check,
-    run_moment_check,
-    run_oscillation_check,
-    run_selftest,
-    run_tail_checks,
-    run_trace_covariance,
-)
+from .experiments import _RUNNERS, ExperimentConfig
 from .results import emit
 
 __all__ = ["parse_cli", "main"]
-
-_RUNNERS = {
-    "fraction": run_fraction_on_circle,
-    "moments": run_moment_check,
-    "traces": run_trace_covariance,
-    "clt": run_clt_check,
-    "tails": run_tail_checks,
-    "oscillation": run_oscillation_check,
-    "gaps": run_gap_check,
-    "carrier": run_carrier_diagnostics,
-    "selftest": run_selftest,
-}
 
 _HELP = {
     "fraction": "mean fraction of combination zeros on the unit circle",
@@ -140,7 +117,6 @@ def parse_cli(argv) -> ExperimentConfig:
             experiment=args.command,
             dims=args.dims,
             coefficients=args.coeffs,
-            n_matrices=args.n_matrices if args.n_matrices is not None else None,
             samples=args.samples,
             seed=args.seed,
             grid_factor=args.grid_factor,

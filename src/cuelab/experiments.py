@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCombinationError,
-    InvalidArgumentError,
     InvalidConfigError,
     NumericalFailureError,
 )
@@ -63,17 +62,17 @@ from .ensembles import (
     sign_changes,
 )
 from .carrier import (
-    _exceptional,
-    _grid_logs,
+    carrier_wave_index,
+    exceptional_mask,
     narrow_gap_count,
     narrow_gap_threshold,
+    normalized_logs,
     subdivision,
 )
 from .errors import SingularPointError
 from .results import EstimateRow, ResultRecord
 
 __all__ = [
-    "MonteCarloEstimate",
     "ExperimentConfig",
     "run_fraction_on_circle",
     "run_moment_check",
@@ -88,73 +87,25 @@ __all__ = [
 
 _WORKERS_ENV = "CUELAB_WORKERS"
 _GROUP_SHIFT = 24  # sample index occupies the low 24 bits of the child index
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Mean and standard error of a batch of per-sample values."""
-
-    mean: float
-    stderr: float
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise InvalidArgumentError(
-                f"an estimate needs n_samples >= 2, got {self.n_samples!r}"
-            )
-        if self.stderr < 0.0:
-            raise InvalidArgumentError(f"stderr must be >= 0, got {self.stderr!r}")
-
-    @classmethod
-    def from_samples(cls, values, seed: int) -> "MonteCarloEstimate":
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or len(arr) < 2:
-            raise InvalidArgumentError("from_samples needs at least two values")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalFailureError("non-finite values in estimate input")
-        return cls(
-            mean=float(arr.mean()),
-            stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))),
-            n_samples=len(arr),
-            seed=int(seed),
-        )
-
-    def z_score(self, reference: float) -> float:
-        """Standardized deviation of the mean from a reference value."""
-        gap = self.mean - float(reference)
-        if self.stderr == 0.0:
-            return 0.0 if gap == 0.0 else math.inf
-        return gap / self.stderr
-
-
-_EXPERIMENTS = (
-    "fraction",
-    "moments",
-    "traces",
-    "clt",
-    "tails",
-    "oscillation",
-    "gaps",
-    "carrier",
-    "selftest",
-)
+# A z-tested check passes at |z| <= _Z_THRESHOLD; the sampler KS
+# cross-check of ``traces`` passes at p >= _KS_LEVEL.
+_Z_THRESHOLD = 4.0
+_KS_LEVEL = 0.01
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated inputs of one experiment run.
 
-    ``coefficients`` holds the b_j of the linear combination (all nonzero);
-    ``n_matrices`` is their count and may be left None to derive it.  The
-    tolerance knobs (z_threshold, ks_level) rarely need changing.
+    ``experiment`` names a runner of ``_RUNNERS``.  ``coefficients`` holds
+    the b_j of the linear combination (all nonzero), and the read-only
+    ``n_matrices`` is their count.  ``traces``, ``gaps`` and ``carrier``
+    take exactly one N in ``dims``.
     """
 
     experiment: str
     dims: tuple = (8,)
     coefficients: tuple = (1.0, 1.0)
-    n_matrices: int | None = None
     samples: int = 200
     seed: int = 0
     grid_factor: int = 8
@@ -165,13 +116,11 @@ class ExperimentConfig:
     format: str = "csv"
     out: str | None = None
     include_timing: bool = False
-    z_threshold: float = 4.0
-    ks_level: float = 0.01
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise InvalidConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {_EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(_RUNNERS)}"
             )
         dims = tuple(int(d) for d in self.dims)
         if len(dims) == 0 or any(d < 1 for d in dims):
@@ -185,13 +134,6 @@ class ExperimentConfig:
                 f"coefficients must be finite and nonzero, got {self.coefficients!r}"
             )
         object.__setattr__(self, "coefficients", coeffs)
-        if self.n_matrices is None:
-            object.__setattr__(self, "n_matrices", len(coeffs))
-        elif int(self.n_matrices) != len(coeffs):
-            raise InvalidConfigError(
-                f"n_matrices={self.n_matrices!r} disagrees with "
-                f"{len(coeffs)} coefficients"
-            )
         if int(self.samples) < 2:
             raise InvalidConfigError(f"samples must be >= 2, got {self.samples!r}")
         object.__setattr__(self, "samples", int(self.samples))
@@ -212,10 +154,11 @@ class ExperimentConfig:
             raise InvalidConfigError(f"workers must be >= 1, got {self.workers!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if not (self.z_threshold > 0.0):
-            raise InvalidConfigError(f"z_threshold must be positive, got {self.z_threshold!r}")
-        if not (0.0 < self.ks_level < 1.0):
-            raise InvalidConfigError(f"ks_level must lie in (0, 1), got {self.ks_level!r}")
+
+    @property
+    def n_matrices(self) -> int:
+        """Number of matrices in the combination: one per coefficient."""
+        return len(self.coefficients)
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
@@ -241,14 +184,16 @@ def _chunk_eval(fn, seed, group, indices, payload):
     return [fn(seed, group, k, payload) for k in indices]
 
 
-def _collect(seed, n_samples, jobs, workers) -> list[np.ndarray]:
-    """Evaluate every job ``(fn, group, payload)`` at indices 0..n_samples-1.
+def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
+    """Evaluate every job ``(fn, group, payload)`` at indices 0..samples-1.
 
-    Returns one array per job, its rows in index order.  With more than one
-    worker a single spawn pool takes the chunks of every job before any
-    result is awaited; the first chunk that raises cancels the queued rest
-    and its exception propagates unchanged.
+    Seed, sample count and workers come from ``cfg``.  Returns one array
+    per job, its rows in index order.  With more than one worker a single
+    spawn pool takes the chunks of every job before any result is awaited;
+    the first chunk that raises cancels the queued rest and its exception
+    propagates unchanged.
     """
+    seed, n_samples, workers = cfg.seed, cfg.samples, cfg.resolved_workers()
     if workers <= 1:
         return [
             np.asarray(_chunk_eval(fn, seed, group, range(n_samples), payload), dtype=float)
@@ -282,6 +227,37 @@ def _check(name: str, passed, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _z_check(name: str, z: float) -> dict:
+    """A z-score check: passes when |z| <= _Z_THRESHOLD."""
+    return _check(name, abs(z) <= _Z_THRESHOLD, f"z={z:.3f}")
+
+
+def _every_sample(name: str, flags: np.ndarray) -> dict:
+    """A per-sample 0/1 flag check: passes when every flag is 1."""
+    return _check(name, bool(np.all(flags == 1.0)), f"violations={int(np.sum(flags != 1.0))}")
+
+
+def _drop_degenerate(data: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+    """The rows of non-degenerate draws, and the number of rows dropped.
+
+    A draw whose combination vanishes identically is a NaN row; fewer than
+    two kept rows leave nothing to estimate.
+    """
+    kept = data[~np.isnan(data[:, 0])]
+    if len(kept) < 2:
+        raise NumericalFailureError(f"fewer than two non-degenerate samples at N={dim}")
+    return kept, len(data) - len(kept)
+
+
+def _one_dim(cfg: ExperimentConfig) -> int:
+    """The N of a runner that takes exactly one; checked before any draw."""
+    if len(cfg.dims) != 1:
+        raise InvalidConfigError(
+            f"{cfg.experiment} runs take one N, got dims={list(cfg.dims)}"
+        )
+    return cfg.dims[0]
+
+
 def _version() -> str:
     from cuelab import __version__
 
@@ -290,8 +266,8 @@ def _version() -> str:
 
 def _finish(cfg: ExperimentConfig, params: dict, rows: list, checks: list,
             started: float) -> ResultRecord:
-    params = dict(params)
-    params["checks"] = checks
+    """The record of a run; every record's parameters hold samples and checks."""
+    params = {**params, "samples": cfg.samples, "checks": checks}
     metadata = {"version": _version(), "timestamp": None, "runtime_seconds": None}
     if cfg.include_timing:
         metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -299,10 +275,6 @@ def _finish(cfg: ExperimentConfig, params: dict, rows: list, checks: list,
     return ResultRecord(
         experiment=cfg.experiment, parameters=params, estimates=rows, metadata=metadata
     )
-
-
-def _row(label: str, est: MonteCarloEstimate) -> EstimateRow:
-    return EstimateRow(label, est.mean, est.stderr, est.n_samples, est.seed)
 
 
 def _value_row(label: str, value: float, seed: int, n: int = 0) -> EstimateRow:
@@ -324,10 +296,10 @@ def _sample_fraction(seed, group, k, payload):
         changes = sign_changes(ens, grid_factor=grid_factor)
         count = circle_root_count(roots_oracle(ens))
     except DegenerateCombinationError:
-        return (math.nan, 1.0, math.nan, math.nan)
+        return (math.nan,) * 3
     audit = 1.0 if changes == count else 0.0
     lower = 1.0 if changes <= count else 0.0
-    return (float(count) / dim, 0.0, audit, lower)
+    return (float(count) / dim, audit, lower)
 
 
 def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
@@ -345,26 +317,17 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
             raise InvalidConfigError(
                 f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}"
             )
-    workers = cfg.resolved_workers()
-    rows, checks = [], []
-    means, stderrs = [], []
+    rows, checks, fractions = [], [], []
     degenerate = {}
     jobs = [
         (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients))
         for group, dim in enumerate(cfg.dims)
     ]
-    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
-        kept = data[data[:, 1] == 0.0]
-        degenerate[f"N={dim}"] = int(len(data) - len(kept))
-        if len(kept) < 2:
-            raise NumericalFailureError(
-                f"fewer than two non-degenerate samples at N={dim}"
-            )
-        est = MonteCarloEstimate.from_samples(kept[:, 0], cfg.seed)
-        rows.append(_row(f"N={dim}", est))
-        means.append(est.mean)
-        stderrs.append(est.stderr)
-        rate = float(kept[:, 2].mean())
+    for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
+        kept, degenerate[f"N={dim}"] = _drop_degenerate(data, dim)
+        fractions.append(EstimateRow.from_samples(f"N={dim}", kept[:, 0], cfg.seed))
+        rows.append(fractions[-1])
+        rate = float(kept[:, 1].mean())
         if dim <= 16:
             checks.append(
                 _check(
@@ -383,23 +346,21 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
         checks.append(
             _check(
                 f"sign changes never exceed root count N={dim}",
-                bool(np.all(kept[:, 3] == 1.0)),
+                bool(np.all(kept[:, 2] == 1.0)),
                 "lower-bound property of sign counting",
             )
         )
+    means = [row.mean for row in fractions]
     if len(cfg.dims) >= 2:
-        worst = 0.0
-        trend_ok = True
-        for i in range(len(means) - 1):
-            allowance = 2.0 * math.hypot(stderrs[i], stderrs[i + 1])
-            deficit = means[i] - means[i + 1] - allowance
-            worst = max(worst, deficit)
-            if deficit > 0.0:
-                trend_ok = False
+        deficits = [
+            a.mean - b.mean - 2.0 * math.hypot(a.stderr, b.stderr)
+            for a, b in zip(fractions, fractions[1:])
+        ]
+        worst = max([0.0, *deficits])
         checks.append(
             _check(
                 "mean fraction nondecreasing within 2 pooled stderr",
-                trend_ok,
+                worst <= 0.0,
                 f"worst deficit beyond allowance {worst:.4f}",
             )
         )
@@ -421,7 +382,6 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     params = {
         "dims": list(cfg.dims),
         "coefficients": list(cfg.coefficients),
-        "samples": cfg.samples,
         "grid_factor": cfg.grid_factor,
         "degenerate_excluded": degenerate,
     }
@@ -444,10 +404,9 @@ def _sample_log_z_at_zero(seed, group, k, dim) -> tuple[float, float]:
     return float(re), float(im)
 
 
-def _sample_moment(seed, group, k, payload):
-    dim, cases = payload
+def _sample_moment(seed, group, k, dim):
     re, im = _sample_log_z_at_zero(seed, group, k, dim)
-    return tuple(math.exp(s * re + t * im) for (s, t) in cases)
+    return tuple(math.exp(s * re + t * im) for (s, t) in _MOMENT_CASES)
 
 
 def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
@@ -458,30 +417,21 @@ def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
     O(N), so no matrix and no eigendecomposition is involved.
     """
     started = time.time()
-    workers = cfg.resolved_workers()
     rows, checks = [], []
     zs = {}
-    jobs = [(_sample_moment, group, (dim, _MOMENT_CASES)) for group, dim in enumerate(cfg.dims)]
-    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
+    jobs = [(_sample_moment, group, dim) for group, dim in enumerate(cfg.dims)]
+    for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         for i, (s, t) in enumerate(_MOMENT_CASES):
-            est = MonteCarloEstimate.from_samples(data[:, i], cfg.seed)
+            case = f"s={s:g},t={t:g},N={dim}"
+            row = EstimateRow.from_samples(f"{case} empirical", data[:, i], cfg.seed)
             reference = joint_mgf_rhs(s, t, dim)
-            z = est.z_score(reference)
-            zs[f"s={s:g},t={t:g},N={dim}"] = z
-            rows.append(_row(f"s={s:g},t={t:g},N={dim} empirical", est))
-            rows.append(
-                _value_row(f"s={s:g},t={t:g},N={dim} formula", reference, cfg.seed)
-            )
-            checks.append(
-                _check(
-                    f"moment z-score s={s:g},t={t:g},N={dim}",
-                    abs(z) <= cfg.z_threshold,
-                    f"z={z:.3f}",
-                )
-            )
+            z = row.z_score(reference)
+            zs[case] = z
+            rows.append(row)
+            rows.append(_value_row(f"{case} formula", reference, cfg.seed))
+            checks.append(_z_check(f"moment z-score {case}", z))
     params = {
         "dims": list(cfg.dims),
-        "samples": cfg.samples,
         "cases": [list(c) for c in _MOMENT_CASES],
         "z_scores": zs,
     }
@@ -493,10 +443,10 @@ def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
 
 
 _TRACE_PAIRS = ((1, 1), (1, 2), (3, 3), (8, 8), (12, 12))
+_TRACE_POWERS = sorted({p for pair in _TRACE_PAIRS for p in pair})
 
 
-def _sample_traces(seed, group, k, payload):
-    dim, powers = payload
+def _sample_traces(seed, group, k, dim):
     gen = _stream(seed, group, k).generator()
     u, chain = haar_unitary(dim, gen)
     lam = np.linalg.eigvals(u.entries)
@@ -504,7 +454,7 @@ def _sample_traces(seed, group, k, payload):
     lam_qr = np.linalg.eigvals(u_qr.entries)
     out = []
     for eig in (lam, lam_qr):
-        traces = {p: complex((eig ** p).sum()) for p in powers}
+        traces = {p: complex((eig ** p).sum()) for p in _TRACE_POWERS}
         for p, q in _TRACE_PAIRS:
             v = traces[p] * np.conj(traces[q])
             out.append(v.real)
@@ -523,34 +473,31 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
     against the formula.
     """
     started = time.time()
-    dim = cfg.dims[0]
-    max_power = max(max(p, q) for p, q in _TRACE_PAIRS)
-    if max_power > 4 * dim:
+    dim = _one_dim(cfg)
+    if _TRACE_POWERS[-1] > 4 * dim:
         raise InvalidConfigError(
-            f"trace powers up to {max_power} exceed the 4N window at N={dim}"
+            f"trace powers up to {_TRACE_POWERS[-1]} exceed the 4N window at N={dim}"
         )
-    powers = tuple(sorted({p for pair in _TRACE_PAIRS for p in pair}))
-    (data,) = _collect(
-        cfg.seed, cfg.samples, [(_sample_traces, 0, (dim, powers))], cfg.resolved_workers()
-    )
+    (data,) = _collect(cfg, [(_sample_traces, 0, dim)])
     rows, checks = [], []
     zs = {}
     col = 0
     for sampler in ("reflection", "qr"):
         for p, q in _TRACE_PAIRS:
             target = float(min(p, dim)) if p == q else 0.0
-            est_re = MonteCarloEstimate.from_samples(data[:, col], cfg.seed)
-            est_im = MonteCarloEstimate.from_samples(data[:, col + 1], cfg.seed)
+            pair = f"p={p},q={q} {sampler}"
+            row_re = EstimateRow.from_samples(f"{pair} re", data[:, col], cfg.seed)
+            row_im = EstimateRow.from_samples(f"{pair} im", data[:, col + 1], cfg.seed)
             col += 2
-            z_re = est_re.z_score(target)
-            z_im = est_im.z_score(0.0)
-            zs[f"p={p},q={q} {sampler}"] = [z_re, z_im]
-            rows.append(_row(f"p={p},q={q} {sampler} re", est_re))
-            rows.append(_row(f"p={p},q={q} {sampler} im", est_im))
+            z_re = row_re.z_score(target)
+            z_im = row_im.z_score(0.0)
+            zs[pair] = [z_re, z_im]
+            rows.append(row_re)
+            rows.append(row_im)
             checks.append(
                 _check(
-                    f"trace z-score p={p},q={q} {sampler}",
-                    abs(z_re) <= cfg.z_threshold and abs(z_im) <= cfg.z_threshold,
+                    f"trace z-score {pair}",
+                    abs(z_re) <= _Z_THRESHOLD and abs(z_im) <= _Z_THRESHOLD,
                     f"z_re={z_re:.3f} z_im={z_im:.3f} target={target:g}",
                 )
             )
@@ -561,13 +508,12 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
     checks.append(
         _check(
             "sampler KS on log|Z(0)|",
-            float(ks.pvalue) >= cfg.ks_level,
+            float(ks.pvalue) >= _KS_LEVEL,
             f"statistic={float(ks.statistic):.5f} pvalue={float(ks.pvalue):.4f}",
         )
     )
     params = {
         "dims": [dim],
-        "samples": cfg.samples,
         "pairs": [list(p) for p in _TRACE_PAIRS],
         "z_scores": zs,
         "ks_statistic": float(ks.statistic),
@@ -597,11 +543,10 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
             )
     from scipy import stats
 
-    workers = cfg.resolved_workers()
     rows, checks = [], []
     ks_by_dim = {}
     jobs = [(_sample_log_z_at_zero, group, dim) for group, dim in enumerate(cfg.dims)]
-    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
+    for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         normalized = data[:, 0] / math.sqrt(0.5 * math.log(dim))
         ks = float(stats.kstest(normalized, "norm").statistic)
         ks_by_dim[dim] = ks
@@ -644,7 +589,6 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
     )
     params = {
         "dims": list(cfg.dims),
-        "samples": cfg.samples,
         "noise_floor": 1.36 / math.sqrt(cfg.samples),
         "ks_by_dim": {str(d): ks_by_dim[d] for d in cfg.dims},
         "ks_control": ks_control,
@@ -660,8 +604,7 @@ _A_GRID = (0.0, 0.5, 1.0, 2.0)
 _DELTA_GRID = (0.2, 0.1, 0.05)
 
 
-def _sample_tail_modulus(seed, group, k, payload):
-    (dim,) = payload
+def _sample_tail_modulus(seed, group, k, dim):
     gen = _stream(seed, group, k).generator()
     alphas = haar_verblunsky(dim, gen)
     while True:
@@ -684,65 +627,55 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
     assert the monotone structure only.
     """
     started = time.time()
-    workers = cfg.resolved_workers()
     rows, checks = [], []
     jobs = []
     for group, dim in enumerate(cfg.dims):
-        jobs.append((_sample_tail_modulus, 2 * group, (dim,)))
+        jobs.append((_sample_tail_modulus, 2 * group, dim))
         jobs.append((_sample_log_z_at_zero, 2 * group + 1, dim))
-    data = _collect(cfg.seed, cfg.samples, jobs, workers)
+    data = _collect(cfg, jobs)
     for dim, tail, at_zero in zip(cfg.dims, data[0::2], data[1::2]):
         norm = math.sqrt(math.log(dim))
         modulus = tail[:, 0] / norm
         re_part = at_zero[:, 0] / norm
         im_part = np.abs(at_zero[:, 1]) / norm
-        p_mod, p_im, p_conc = {}, {}, {}
-        for a in _A_GRID:
-            est = MonteCarloEstimate.from_samples((modulus >= a).astype(float), cfg.seed)
-            p_mod[a] = est.mean
-            rows.append(_row(f"modulus tail A={a:g} N={dim}", est))
-        for a in _A_GRID:
-            est = MonteCarloEstimate.from_samples((im_part >= a).astype(float), cfg.seed)
-            p_im[a] = est.mean
-            rows.append(_row(f"im tail A={a:g} N={dim}", est))
-        for d in _DELTA_GRID:
-            est = MonteCarloEstimate.from_samples(
-                (np.abs(re_part) <= d).astype(float), cfg.seed
+        # (name, trend, [(parameter, event indicator)]): each table must be
+        # nonincreasing along its grid
+        tables = (
+            ("modulus tail", "nonincreasing in A", [(f"A={a:g}", modulus >= a) for a in _A_GRID]),
+            ("im tail", "nonincreasing in A", [(f"A={a:g}", im_part >= a) for a in _A_GRID]),
+            (
+                "concentration",
+                "decreasing with delta",
+                [(f"delta={d:g}", np.abs(re_part) <= d) for d in _DELTA_GRID],
+            ),
+        )
+        probs, trends = [], []
+        for name, trend, events in tables:
+            table = [
+                EstimateRow.from_samples(f"{name} {param} N={dim}", event.astype(float), cfg.seed)
+                for param, event in events
+            ]
+            rows.extend(table)
+            p = [row.mean for row in table]
+            probs.append(p)
+            trends.append(
+                _check(
+                    f"{name} {trend} N={dim}",
+                    all(hi >= lo for hi, lo in zip(p, p[1:])),
+                    " ".join(f"{v:.4f}" for v in p),
+                )
             )
-            p_conc[d] = est.mean
-            rows.append(_row(f"concentration delta={d:g} N={dim}", est))
+        p_mod, p_im = probs[0][0], probs[1][0]
         checks.append(
             _check(
                 f"A=0 exceedance is certain N={dim}",
-                p_mod[_A_GRID[0]] == 1.0 and p_im[_A_GRID[0]] == 1.0,
-                f"p={p_mod[_A_GRID[0]]:g}",
+                p_mod == 1.0 and p_im == 1.0,
+                f"p={p_mod:g}",
             )
         )
-        mono_mod = all(
-            p_mod[_A_GRID[i]] >= p_mod[_A_GRID[i + 1]] for i in range(len(_A_GRID) - 1)
-        )
-        mono_im = all(
-            p_im[_A_GRID[i]] >= p_im[_A_GRID[i + 1]] for i in range(len(_A_GRID) - 1)
-        )
-        checks.append(
-            _check(f"modulus tail nonincreasing in A N={dim}", mono_mod,
-                   " ".join(f"{p_mod[a]:.4f}" for a in _A_GRID))
-        )
-        checks.append(
-            _check(f"im tail nonincreasing in A N={dim}", mono_im,
-                   " ".join(f"{p_im[a]:.4f}" for a in _A_GRID))
-        )
-        mono_conc = all(
-            p_conc[_DELTA_GRID[i]] >= p_conc[_DELTA_GRID[i + 1]]
-            for i in range(len(_DELTA_GRID) - 1)
-        )
-        checks.append(
-            _check(f"concentration decreasing with delta N={dim}", mono_conc,
-                   " ".join(f"{p_conc[d]:.4f}" for d in _DELTA_GRID))
-        )
+        checks.extend(trends)
     params = {
         "dims": list(cfg.dims),
-        "samples": cfg.samples,
         "a_grid": list(_A_GRID),
         "delta_grid": list(_DELTA_GRID),
         "x0": 0.0,
@@ -783,33 +716,17 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
             raise InvalidConfigError(
                 f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}"
             )
-    workers = cfg.resolved_workers()
     rows, checks = [], []
     jobs = [(_sample_oscillation, group, (dim, cfg.mu)) for group, dim in enumerate(cfg.dims)]
-    for dim, data in zip(cfg.dims, _collect(cfg.seed, cfg.samples, jobs, workers)):
+    for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         reference = oscillation_variance_exact(dim, cfg.mu)
-        est_re = MonteCarloEstimate.from_samples(data[:, 0] ** 2, cfg.seed)
-        est_im = MonteCarloEstimate.from_samples(data[:, 1] ** 2, cfg.seed)
-        z_re = est_re.z_score(reference)
-        z_im = est_im.z_score(reference)
-        rows.append(_row(f"re increment second moment N={dim} mu={cfg.mu:g}", est_re))
-        rows.append(_row(f"im increment second moment N={dim} mu={cfg.mu:g}", est_im))
+        for col, part in enumerate(("re", "im")):
+            label = f"{part} increment second moment N={dim} mu={cfg.mu:g}"
+            row = EstimateRow.from_samples(label, data[:, col] ** 2, cfg.seed)
+            rows.append(row)
+            checks.append(_z_check(f"{part} increment z-score N={dim}", row.z_score(reference)))
         rows.append(
             _value_row(f"exact series N={dim} mu={cfg.mu:g}", reference, cfg.seed)
-        )
-        checks.append(
-            _check(
-                f"re increment z-score N={dim}",
-                abs(z_re) <= cfg.z_threshold,
-                f"z={z_re:.3f}",
-            )
-        )
-        checks.append(
-            _check(
-                f"im increment z-score N={dim}",
-                abs(z_im) <= cfg.z_threshold,
-                f"z={z_im:.3f}",
-            )
         )
     big_n, big_mu = 10000, 20.0 * math.pi
     series = oscillation_variance_exact(big_n, big_mu)
@@ -825,7 +742,6 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
     )
     params = {
         "dims": list(cfg.dims),
-        "samples": cfg.samples,
         "mu": cfg.mu,
     }
     return _finish(cfg, params, rows, checks, started)
@@ -838,12 +754,11 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
 _EPS_GRID = (0.5, 1.0)
 
 
-def _sample_gaps(seed, group, k, payload):
-    dim, eps_grid = payload
+def _sample_gaps(seed, group, k, dim):
     gen = _stream(seed, group, k).generator()
     u, _ = haar_unitary(dim, gen)
     spec = eigenangles(u)
-    return tuple(float(narrow_gap_count(spec, eps)) for eps in eps_grid)
+    return tuple(float(narrow_gap_count(spec, eps)) for eps in _EPS_GRID)
 
 
 def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
@@ -854,34 +769,25 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     the quadrature prediction by about 8.
     """
     started = time.time()
-    dim = cfg.dims[0]
-    (data,) = _collect(
-        cfg.seed, cfg.samples, [(_sample_gaps, 0, (dim, _EPS_GRID))], cfg.resolved_workers()
-    )
+    dim = _one_dim(cfg)
+    (data,) = _collect(cfg, [(_sample_gaps, 0, dim)])
     rows, checks = [], []
     quad = {}
     for i, eps in enumerate(_EPS_GRID):
-        est = MonteCarloEstimate.from_samples(data[:, i], cfg.seed)
+        row = EstimateRow.from_samples(f"eps={eps:g} empirical", data[:, i], cfg.seed)
         reference = expected_narrow_pairs(dim, eps)
         quad[eps] = reference
         bound = dim * eps ** 3 / (18.0 * math.pi)
-        z = est.z_score(reference)
-        rows.append(_row(f"eps={eps:g} empirical", est))
+        rows.append(row)
         rows.append(_value_row(f"eps={eps:g} quadrature", reference, cfg.seed))
         checks.append(
             _check(
                 f"cubic bound eps={eps:g}",
-                est.mean <= bound + 4.0 * est.stderr,
-                f"mean={est.mean:.5f} bound={bound:.5f}",
+                row.mean <= bound + 4.0 * row.stderr,
+                f"mean={row.mean:.5f} bound={bound:.5f}",
             )
         )
-        checks.append(
-            _check(
-                f"quadrature z-score eps={eps:g}",
-                abs(z) <= cfg.z_threshold,
-                f"z={z:.3f}",
-            )
-        )
+        checks.append(_z_check(f"quadrature z-score eps={eps:g}", row.z_score(reference)))
     for eps in _EPS_GRID:
         if 2.0 * eps in quad:
             ratio = quad[2.0 * eps] / quad[eps]
@@ -894,7 +800,6 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
             )
     params = {
         "dims": [dim],
-        "samples": cfg.samples,
         "eps_grid": list(_EPS_GRID),
         "quadrature": {f"{e:g}": quad[e] for e in _EPS_GRID},
     }
@@ -916,9 +821,9 @@ def _sample_carrier(seed, group, k, payload):
     delta_eff = config.delta
     grid = 64 * dim
     thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    logs = _grid_logs(ens, thetas)
-    mask = _exceptional(logs, delta_eff)
-    mask_half = _exceptional(logs, delta_eff / 2.0)
+    logs = normalized_logs(ens, thetas)
+    mask = exceptional_mask(logs, delta_eff)
+    mask_half = exceptional_mask(logs, delta_eff / 2.0)
     lam = float(mask.mean()) * TWO_PI
     lam_half = float(mask_half.mean()) * TWO_PI
     monotone = 1.0 if bool(np.all(mask_half <= mask)) else 0.0
@@ -929,9 +834,9 @@ def _sample_carrier(seed, group, k, payload):
     offsets = np.linspace(0.0, pad, 16, endpoint=False)
     steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
     points = np.mod(lefts[:, None] + np.concatenate([steps, offsets]), TWO_PI)
-    point_logs = _grid_logs(ens, points)
-    usable = ~_exceptional(point_logs, delta_eff)
-    carriers = np.argmax(point_logs, axis=0) + 1  # carrier_wave_index at every point
+    point_logs = normalized_logs(ens, points)
+    usable = ~exceptional_mask(point_logs, delta_eff)
+    carriers = carrier_wave_index(point_logs)
     # Carrier-index stability: on each subinterval, the index evaluated on
     # the 8-point grid (outside the exceptional set) must not move.
     stable = sum(len(set(carriers[kk, :8][usable[kk, :8]])) <= 1 for kk in range(config.K))
@@ -943,7 +848,7 @@ def _sample_carrier(seed, group, k, payload):
     has_base = np.any(usable[:, 8:], axis=1)
     first = np.argmax(usable[:, 8:], axis=1)
     bases = points[np.arange(config.K), 8 + first]
-    # the carrier index raises on an eigenangle wherever it is read
+    # the carrier index means nothing on an eigenangle: check where it is read
     _check_regular(ens.angles, np.concatenate([points[:, :8][usable[:, :8]], bases[has_base]]))
     bound = 0
     for kk in np.nonzero(has_base)[0]:
@@ -972,33 +877,23 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     sum_k max(0, nu_k - 2 - 2 psi_k) against the measured sign-change count.
     """
     started = time.time()
-    dim = cfg.dims[0]
+    dim = _one_dim(cfg)
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
-    (data,) = _collect(
-        cfg.seed, cfg.samples, [(_sample_carrier, 0, payload)], cfg.resolved_workers()
-    )
-    kept = data[~np.isnan(data[:, 0])]
-    excluded = int(len(data) - len(kept))
-    if len(kept) < 2:
-        raise NumericalFailureError("fewer than two non-degenerate carrier samples")
+    (data,) = _collect(cfg, [(_sample_carrier, 0, payload)])
+    kept, excluded = _drop_degenerate(data, dim)
     rows = [
-        _row("lambda exceptional delta", MonteCarloEstimate.from_samples(kept[:, 0], cfg.seed)),
-        _row("lambda exceptional delta/2", MonteCarloEstimate.from_samples(kept[:, 1], cfg.seed)),
-        _row("carrier stability fraction", MonteCarloEstimate.from_samples(kept[:, 3], cfg.seed)),
-        _row("summed lower bound", MonteCarloEstimate.from_samples(kept[:, 4], cfg.seed)),
-        _row("measured sign changes", MonteCarloEstimate.from_samples(kept[:, 5], cfg.seed)),
+        EstimateRow.from_samples(label, kept[:, col], cfg.seed)
+        for col, label in (
+            (0, "lambda exceptional delta"),
+            (1, "lambda exceptional delta/2"),
+            (3, "carrier stability fraction"),
+            (4, "summed lower bound"),
+            (5, "measured sign changes"),
+        )
     ]
     checks = [
-        _check(
-            "lower bound holds in every sample",
-            bool(np.all(kept[:, 6] == 1.0)),
-            f"violations={int(np.sum(kept[:, 6] != 1.0))}",
-        ),
-        _check(
-            "exceptional set monotone pointwise",
-            bool(np.all(kept[:, 2] == 1.0)),
-            f"violations={int(np.sum(kept[:, 2] != 1.0))}",
-        ),
+        _every_sample("lower bound holds in every sample", kept[:, 6]),
+        _every_sample("exceptional set monotone pointwise", kept[:, 2]),
         _check(
             "mean exceptional measure decreases when delta halves",
             float(kept[:, 1].mean()) <= float(kept[:, 0].mean()),
@@ -1016,7 +911,6 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     params = {
         "dims": [dim],
         "coefficients": list(cfg.coefficients),
-        "samples": cfg.samples,
         "delta": cfg.delta,
         "subdivisions": cfg.subdivisions,
         "degenerate_excluded": excluded,
@@ -1112,5 +1006,19 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
     rows.append(_value_row("serialization round trip", 1.0 if round_ok else 0.0, cfg.seed))
     checks.append(_check("serialization round trip", round_ok, "json full, csv table"))
 
-    params = {"samples": cfg.samples}
-    return _finish(cfg, params, rows, checks, started)
+    return _finish(cfg, {}, rows, checks, started)
+
+
+# The experiment registry, subcommand name -> runner; ExperimentConfig
+# validates against it and the CLI dispatches through this same dict.
+_RUNNERS = {
+    "fraction": run_fraction_on_circle,
+    "moments": run_moment_check,
+    "traces": run_trace_covariance,
+    "clt": run_clt_check,
+    "tails": run_tail_checks,
+    "oscillation": run_oscillation_check,
+    "gaps": run_gap_check,
+    "carrier": run_carrier_diagnostics,
+    "selftest": run_selftest,
+}

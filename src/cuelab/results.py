@@ -17,9 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import CuelabError, InvalidArgumentError
+import numpy as np
+
+from .errors import CuelabError, InvalidArgumentError, NumericalFailureError
 
 __all__ = [
     "EstimateRow",
@@ -37,7 +40,8 @@ _CSV_HEADER = ("experiment", "label", "mean", "stderr", "n", "seed")
 class EstimateRow:
     """One labeled line of an estimate table.
 
-    Monte Carlo rows carry a sample count ``n >= 2``; deterministic rows
+    Monte Carlo rows come from :meth:`from_samples` and carry the mean, its
+    standard error and the sample count ``n >= 2``; deterministic rows
     (formula values, KS distances) use ``stderr = 0`` and whatever ``n``
     describes the computation.
     """
@@ -55,6 +59,24 @@ class EstimateRow:
             raise InvalidArgumentError(f"stderr must be >= 0, got {self.stderr!r}")
         if self.n < 0:
             raise InvalidArgumentError(f"n must be >= 0, got {self.n!r}")
+
+    @classmethod
+    def from_samples(cls, label: str, values, seed: int) -> "EstimateRow":
+        """Mean and standard error of a batch of per-sample values."""
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1 or len(arr) < 2:
+            raise InvalidArgumentError("from_samples needs at least two values")
+        if not np.all(np.isfinite(arr)):
+            raise NumericalFailureError("non-finite values in estimate input")
+        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr)))
+        return cls(label, float(arr.mean()), stderr, len(arr), int(seed))
+
+    def z_score(self, reference: float) -> float:
+        """Standardized deviation of the mean from a reference value."""
+        gap = self.mean - float(reference)
+        if self.stderr == 0.0:
+            return 0.0 if gap == 0.0 else math.inf
+        return gap / self.stderr
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .rng import RngStream
 __all__ = [
     "UnitaryMatrix",
     "ReflectionChain",
-    "sample_unit_sphere",
     "reflection_matrix",
     "reflection_determinant",
     "chain_to_matrix",
@@ -43,7 +42,6 @@ __all__ = [
     "haar_unitary",
     "haar_special_unitary",
     "coupled_chain_pair",
-    "coupled_pair",
     "haar_verblunsky",
     "haar_unitary_qr_oracle",
 ]
@@ -135,20 +133,6 @@ class ReflectionChain:
             if err > tol:
                 raise NumericalFailureError(f"vector {j} norm off by {err:.3e}")
         return self
-
-
-def sample_unit_sphere(j: int, rng) -> np.ndarray:
-    """Draw a uniform point on the unit sphere of C^j.
-
-    Normalizing a standard complex Gaussian vector gives exact rotation
-    invariance; for j = 1 this reduces to a uniform phase on the circle.
-    """
-    if not isinstance(j, (int, np.integer)) or j < 1:
-        raise InvalidDimensionError(f"sphere dimension must be a positive integer, got {j!r}")
-    gen = _generator(rng)
-    raw = gen.standard_normal(2 * j)
-    z = raw[0::2] + 1j * raw[1::2]
-    return z / np.linalg.norm(z)
 
 
 def _reflection_gamma(x: np.ndarray) -> complex:
@@ -296,17 +280,6 @@ def coupled_chain_pair(N: int, theta: float, rng) -> tuple[ReflectionChain, Refl
     forced = _forced_first_vector(tail, N, float(theta))
     free = np.array([np.exp(2j * np.pi * gen.random())], dtype=np.complex128)
     return ReflectionChain([forced] + tail), ReflectionChain([free] + tail)
-
-
-def coupled_pair(N: int, theta: float, rng) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    """Matrices of the coupled pair: (U ~ P_{SU(N),theta}, U' ~ Haar U(N)).
-
-    Because the chains share x_2..x_N, Im log det(I - U) and
-    Im log det(I - U') differ only through the first reflection, which
-    bounds the difference by pi (each term lies in (-pi/2, pi/2)).
-    """
-    chain_su, chain_u = coupled_chain_pair(N, theta, rng)
-    return chain_to_matrix(chain_su), chain_to_matrix(chain_u)
 
 
 def haar_verblunsky(N: int, rng) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "count_in_circular_arc",
     "log_z_from_chain",
     "log_z_verblunsky",
-    "trace_series_partial",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -305,25 +304,3 @@ def log_z_from_chain(chain: ReflectionChain) -> LogZ:
         raise SingularPointError("some <x_j, e_j> equals 1; log Z(0) is singular")
     logs = np.log(w)  # principal branch per factor
     return LogZ(float(np.sum(logs.real)), float(np.sum(logs.imag)))
-
-
-def trace_series_partial(u_mat: UnitaryMatrix, t: float, k_max: int) -> complex:
-    """Partial sum -(1/2) sum_{0<|k|<=K} e^{-ikt} tr(U^k)/|k|.
-
-    The +k and -k terms are conjugate, so the value is exactly real; it is
-    returned as complex per the series definition.  As K grows the real
-    part converges (a.s., for Haar U) to Re log Z(t).
-    """
-    if not isinstance(k_max, (int, np.integer)) or k_max < 1:
-        raise InvalidArgumentError(f"k_max must be a positive integer, got {k_max!r}")
-    eigs = np.linalg.eigvals(u_mat.entries)
-    theta = np.angle(eigs)
-    total = 0.0
-    # Re(e^{-ikt} T_k) = cos(kt) Re T_k + sin(kt) Im T_k; chunk k to keep
-    # the (k, N) phase table small for very large k_max.
-    chunk = max(1, (1 << 21) // max(1, u_mat.dim))
-    for k0 in range(1, k_max + 1, chunk):
-        ks = np.arange(k0, min(k_max, k0 + chunk - 1) + 1, dtype=np.float64)
-        traces = np.exp(1j * np.outer(ks, theta)).sum(axis=1)
-        total += float(np.sum((np.cos(ks * t) * traces.real + np.sin(ks * t) * traces.imag) / ks))
-    return complex(-total, 0.0)

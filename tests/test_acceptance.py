@@ -84,7 +84,7 @@ def test_01_arc_counting_identity_exact_on_random_instances():
 
 def test_02_sampler_trace_moments_and_ks():
     cfg = ExperimentConfig(
-        experiment="traces", dims=(8,), samples=10**5, seed=121212, ks_level=0.01
+        experiment="traces", dims=(8,), samples=10**5, seed=121212
     )
     record = run_trace_covariance(cfg)
     assert_all_checks(record)

@@ -10,15 +10,14 @@ from cuelab.carrier import (
     CarrierWaveConfig,
     carrier_wave_index,
     exceptional_mask,
-    exceptional_set_measure,
     narrow_gap_count,
     narrow_gap_threshold,
     normalized_logs,
     subdivision,
 )
 from cuelab.ensembles import CombinationEnsemble
-from cuelab.errors import InvalidArgumentError, InvalidConfigError, SingularPointError
-from cuelab.spectra import EigenangleSpectrum, eigenangles
+from cuelab.errors import InvalidArgumentError, InvalidConfigError
+from cuelab.spectra import EigenangleSpectrum, eigenangles, log_z
 
 SEED = 60601
 
@@ -94,28 +93,36 @@ def test_normalized_logs_shape_and_scale():
     logs = normalized_logs(ens, theta)
     assert logs.shape == (3,)
     norm = np.sqrt(np.log(16) / 2.0)
-    from cuelab.spectra import log_z
-
     direct = np.array([log_z(spec, theta).re for spec in ens.spectra]) / norm
     np.testing.assert_allclose(logs, direct, atol=1e-12)
+    # a batch of points: one row per spectrum, in the points' shape
+    thetas = np.array([[0.1, 2.0, 4.0], [theta, 5.0, 6.0]])
+    grid = normalized_logs(ens, thetas)
+    assert grid.shape == (3, 2, 3)
+    np.testing.assert_allclose(grid[:, 1, 0], logs, atol=1e-12)
 
 
 def test_normalized_logs_singular_on_eigenangle():
     ens = su_ensemble(2, 8, salt=3)
-    with pytest.raises(SingularPointError):
-        normalized_logs(ens, float(ens.spectra[0].angles[2]))
+    logs = normalized_logs(ens, float(ens.spectra[0].angles[2]))
+    assert logs[0] == -np.inf
+    assert np.isfinite(logs[1])
 
 
 def test_exceptional_mask_flags_singular_points_and_grows_with_delta():
     ens = su_ensemble(2, 16, salt=4)
-    thetas = np.linspace(0.01, 2 * np.pi - 0.01, 257)
-    small = exceptional_mask(ens, 0.05, thetas)
-    large = exceptional_mask(ens, 0.2, thetas)
+    logs = normalized_logs(ens, np.linspace(0.01, 2 * np.pi - 0.01, 257))
+    small = exceptional_mask(logs, 0.05)
+    large = exceptional_mask(logs, 0.2)
     assert small.dtype == bool
+    assert small.shape == (257,)
     assert np.all(large[small])  # pointwise monotone in delta
     # a grid point exactly on an eigenangle is always exceptional
-    on_angle = np.array([float(ens.spectra[0].angles[0])])
-    assert exceptional_mask(ens, 0.05, on_angle)[0]
+    on_angle = normalized_logs(ens, ens.spectra[0].angles[:1])
+    assert exceptional_mask(on_angle, 0.05)[0]
+    for delta in (0.0, 0.5):
+        with pytest.raises(InvalidArgumentError):
+            exceptional_mask(logs, delta)
 
 
 def test_exceptional_mask_quiet_on_shared_eigenangle():
@@ -125,41 +132,38 @@ def test_exceptional_mask_quiet_on_shared_eigenangle():
     ens = CombinationEnsemble(np.array([1.0, 2.0]), [spec, spec])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask = exceptional_mask(ens, 0.05, spec.angles[:1])
+        mask = exceptional_mask(normalized_logs(ens, spec.angles[:1]), 0.05)
     assert mask[0]
 
 
 def test_exceptional_measure_bounds_and_monotonicity():
+    # the measure lambda(E_delta) / 2pi on the carrier runner's grid: the
+    # midpoints of 64 N equal cells
     ens = su_ensemble(2, 16, salt=5)
-    measures = [exceptional_set_measure(ens, d) for d in (0.05, 0.1, 0.2)]
+    grid = 64 * 16
+    logs = normalized_logs(ens, (np.arange(grid) + 0.5) * (2 * np.pi / grid))
+    measures = [float(exceptional_mask(logs, d).mean()) for d in (0.05, 0.1, 0.2)]
     for m in measures:
-        assert 0.0 <= m <= 2 * np.pi
+        assert 0.0 <= m <= 1.0
     assert measures[0] <= measures[1] <= measures[2]
-
-
-def test_exceptional_measure_grid_validation():
-    ens = su_ensemble(2, 16, salt=5)
-    with pytest.raises(InvalidArgumentError):
-        exceptional_set_measure(ens, 0.2, grid=512)  # below 64 * N
-    fine = exceptional_set_measure(ens, 0.2, grid=1 << 14)
-    coarse = exceptional_set_measure(ens, 0.2, grid=1024)
-    assert abs(fine - coarse) < 0.05
 
 
 def test_carrier_index_is_argmax_one_based():
     ens = su_ensemble(3, 16, salt=6)
     g = RngStream(SEED, 7).generator()
-    for theta in g.uniform(0.0, 2 * np.pi, size=12):
-        idx = carrier_wave_index(ens, float(theta))
-        logs = normalized_logs(ens, float(theta))
-        assert idx == int(np.argmax(logs)) + 1
-        assert 1 <= idx <= 3
+    thetas = g.uniform(0.0, 2 * np.pi, size=12)
+    idx = carrier_wave_index(normalized_logs(ens, thetas))
+    assert idx.shape == (12,)
+    for theta, i in zip(thetas, idx):
+        direct = [log_z(spec, float(theta)).re for spec in ens.spectra]
+        assert i == int(np.argmax(direct)) + 1
+        assert 1 <= i <= 3
 
 
 def test_single_term_carrier_is_trivial():
     ens = su_ensemble(1, 8, salt=8)
-    for theta in (0.3, 2.2, 5.1):
-        assert carrier_wave_index(ens, theta) == 1
+    idx = carrier_wave_index(normalized_logs(ens, np.array([0.3, 2.2, 5.1])))
+    np.testing.assert_array_equal(idx, [1, 1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,16 @@ import numpy as np
 import pytest
 
 import cuelab
-from cuelab import experiments
+from cuelab import cli, experiments
 from cuelab.cli import main as cli_main
-from cuelab.errors import CuelabError, InvalidConfigError
+from cuelab.errors import (
+    CuelabError,
+    DegenerateCombinationError,
+    InvalidConfigError,
+    NumericalFailureError,
+)
 from cuelab.experiments import (
     ExperimentConfig,
-    MonteCarloEstimate,
     run_carrier_diagnostics,
     run_clt_check,
     run_fraction_on_circle,
@@ -30,7 +34,7 @@ from cuelab.experiments import (
     run_tail_checks,
     run_trace_covariance,
 )
-from cuelab.results import read_record, to_json_text
+from cuelab.results import EstimateRow, read_record, to_json_text
 
 
 def failed_checks(record):
@@ -44,10 +48,11 @@ def failed_checks(record):
 
 def test_estimate_from_samples_matches_manual_formulas():
     values = np.array([1.0, 2.0, 3.0, 4.0])
-    est = MonteCarloEstimate.from_samples(values, seed=9)
+    est = EstimateRow.from_samples("x", values, seed=9)
+    assert est.label == "x"
     assert est.mean == pytest.approx(2.5)
     assert est.stderr == pytest.approx(values.std(ddof=1) / 2.0)
-    assert est.n_samples == 4
+    assert est.n == 4
     assert est.seed == 9
     assert est.z_score(2.5) == 0.0
     assert est.z_score(2.5 - est.stderr) == pytest.approx(1.0)
@@ -55,13 +60,13 @@ def test_estimate_from_samples_matches_manual_formulas():
 
 def test_estimate_rejects_degenerate_input():
     with pytest.raises(Exception):
-        MonteCarloEstimate.from_samples(np.array([1.0]), seed=0)
-    with pytest.raises(Exception):
-        MonteCarloEstimate.from_samples(np.array([1.0, np.nan]), seed=0)
+        EstimateRow.from_samples("x", np.array([1.0]), seed=0)
+    with pytest.raises(NumericalFailureError):
+        EstimateRow.from_samples("x", np.array([1.0, np.nan]), seed=0)
 
 
 def test_estimate_zero_stderr_z_scores():
-    est = MonteCarloEstimate.from_samples(np.array([2.0, 2.0, 2.0]), seed=0)
+    est = EstimateRow.from_samples("x", np.array([2.0, 2.0, 2.0]), seed=0)
     assert est.stderr == 0.0
     assert est.z_score(2.0) == 0.0
     assert est.z_score(2.1) == np.inf
@@ -83,9 +88,8 @@ def test_config_validation():
         ExperimentConfig(experiment="carrier", dims=(8,), delta=0.3)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="oscillation", dims=(8,), mu=0.0)
-    with pytest.raises(InvalidConfigError):
-        # one coefficient but two matrices requested
-        ExperimentConfig(experiment="fraction", dims=(8,), coefficients=(1.0,), n_matrices=2)
+    # the CLI dispatches through the registry the config validates against
+    assert cli._RUNNERS is experiments._RUNNERS
 
 
 def test_config_n_matrices_defaults_to_coefficient_count():
@@ -104,6 +108,55 @@ def test_runner_preconditions():
         run_oscillation_check(
             ExperimentConfig(experiment="oscillation", dims=(8,), samples=100, seed=1, mu=100.0)
         )
+
+
+def test_single_dim_runners_reject_several_dims(monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("sampled before the dimension check")
+
+    monkeypatch.setattr(experiments, "haar_unitary", no_draws)
+    monkeypatch.setattr(experiments, "haar_special_unitary", no_draws)
+    runners = {
+        "traces": run_trace_covariance,
+        "gaps": run_gap_check,
+        "carrier": run_carrier_diagnostics,
+    }
+    for name, runner in runners.items():
+        with pytest.raises(InvalidConfigError, match=name):
+            runner(ExperimentConfig(experiment=name, dims=(8, 16), samples=10, seed=1))
+        assert cli_main([name, "--dims", "8,16", "--samples", "10"]) == 1
+        assert f"error: {name} runs take one N" in capsys.readouterr().err
+
+
+def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
+    real = experiments.sign_changes
+    calls = []
+
+    def every_third_degenerate(ens, **kwargs):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise DegenerateCombinationError("identically vanishing combination")
+        return real(ens, **kwargs)
+
+    monkeypatch.setattr(experiments, "sign_changes", every_third_degenerate)
+    cases = [
+        (run_fraction_on_circle, dict(experiment="fraction", dims=(8,)), {"N=8": 3}),
+        (run_carrier_diagnostics, dict(experiment="carrier", dims=(16,), delta=0.2), 3),
+    ]
+    for runner, base, excluded in cases:
+        calls.clear()
+        rec = runner(ExperimentConfig(**base, samples=9, seed=2, workers=1))
+        assert rec.parameters["degenerate_excluded"] == excluded
+        # every row of these two records is a Monte Carlo estimate
+        assert rec.estimates and all(row.n == 9 - 3 for row in rec.estimates)
+
+    def always_degenerate(ens, **kwargs):
+        raise DegenerateCombinationError("identically vanishing combination")
+
+    monkeypatch.setattr(experiments, "sign_changes", always_degenerate)
+    for runner, base, _ in cases:
+        with pytest.raises(NumericalFailureError):
+            runner(ExperimentConfig(**base, samples=9, seed=2, workers=1))
 
 
 def test_workers_env_variable(monkeypatch):
@@ -210,10 +263,9 @@ def test_moment_runner_agrees_with_closed_form():
     assert any("formula" in lab for lab in labels)
 
 
-def test_moment_runner_flags_impossible_tolerance():
-    cfg = ExperimentConfig(
-        experiment="moments", dims=(6,), samples=500, seed=1, z_threshold=1e-9
-    )
+def test_moment_runner_flags_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(experiments, "_Z_THRESHOLD", 1e-9)
+    cfg = ExperimentConfig(experiment="moments", dims=(6,), samples=500, seed=1)
     rec = run_moment_check(cfg)
     assert len(failed_checks(rec)) > 0
     assert not rec.all_checks_passed()

@@ -7,7 +7,7 @@ import pytest
 
 from cuelab import RngStream, chain_to_matrix, haar_reflection_chain, haar_unitary
 from cuelab.errors import InvalidArgumentError, SingularPointError
-from cuelab.sampling import UnitaryMatrix, haar_verblunsky
+from cuelab.sampling import haar_verblunsky
 from cuelab.spectra import (
     EigenangleSpectrum,
     _check_regular,
@@ -20,7 +20,6 @@ from cuelab.spectra import (
     log_z_from_chain,
     log_z_grid,
     log_z_verblunsky,
-    trace_series_partial,
 )
 
 SEED = 31415
@@ -220,25 +219,3 @@ def test_circular_arc_count_wraps():
     assert count_in_circular_arc(spec, 2.9, 0.2) == 1
     total = count_in_circular_arc(spec, 1.234, 2 * np.pi - 1e-9)
     assert total == 3
-
-
-def test_trace_series_value_for_minus_identity():
-    m = UnitaryMatrix(entries=-np.eye(2, dtype=complex), dim=2)
-    val = trace_series_partial(m, 0.0, 1)
-    assert val == pytest.approx(2.0)
-    assert val.imag == 0.0
-
-
-def test_trace_series_converges_to_log_modulus():
-    u, _ = sample(6, 6)
-    spec = eigenangles(u)
-    # evaluate in the middle of the widest gap, where the series behaves best
-    gaps = np.diff(np.concatenate([spec.angles, [spec.angles[0] + 2 * np.pi]]))
-    k = int(np.argmax(gaps))
-    t = float((spec.angles[k] + gaps[k] / 2) % (2 * np.pi))
-    target = log_z(spec, t).re
-    coarse = trace_series_partial(u, t, 200)
-    fine = trace_series_partial(u, t, 4000)
-    assert abs(fine.imag) < 1e-10
-    assert abs(fine.real - target) < 5e-3
-    assert abs(fine.real - target) <= abs(coarse.real - target) + 1e-12
