@@ -205,7 +205,7 @@ def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> flo
     )
 
 
-def narrow_gap_count(spec: EigenangleSpectrum, eps: float) -> int:
+def narrow_gap_count(spec: EigenangleSpectrum, eps) -> int | np.ndarray:
     """chi_eps: unordered eigenangle pairs at circular distance <= eps/N.
 
     The angles are sorted in [0, 2pi), so the partners j > i of angle i lie
@@ -213,23 +213,29 @@ def narrow_gap_count(spec: EigenangleSpectrum, eps: float) -> int:
     of the circle.  ``searchsorted`` finds both runs with keys padded by
     1e-9, and the all-pairs predicate min(d, 2pi - d) <= eps/N then decides
     each candidate, so the count is the all-pairs count exactly while only
-    nearby pairs are ever formed.
+    nearby pairs are ever formed.  ``eps`` may be one value (an int is
+    returned) or a 1-D array (an int array): the runs are searched once, at
+    the largest eps, and every threshold decides the same candidates.
     """
-    if eps <= 0.0:
-        raise InvalidArgumentError(f"eps must be positive, got {eps!r}")
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim > 1 or eps.size == 0 or not np.all(eps > 0.0):
+        raise InvalidArgumentError(f"eps must be positive, got {eps.tolist()!r}")
     n = spec.dim
+    thresholds = eps / n
     if n < 2:
-        return 0
-    a = spec.angles
-    threshold = eps / n
-    # candidate partners of angle i: j in [i+1, near[i]) and j in [seam[i], n)
-    above = np.arange(1, n + 1)
-    near = np.maximum(np.searchsorted(a, a + threshold + _GAP_PAD, side="right"), above)
-    seam = np.maximum(np.searchsorted(a, a + (TWO_PI - threshold - _GAP_PAD)), near)
-    starts = np.concatenate([above, seam])
-    lengths = np.concatenate([near, np.full(n, n)]) - starts
-    first = np.repeat(np.tile(np.arange(n), 2), lengths)
-    second = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    d = np.abs(a[first] - a[second])
-    d = np.minimum(d, TWO_PI - d)
-    return int(np.sum(d <= threshold))
+        counts = np.zeros(eps.shape, dtype=int)
+    else:
+        a = spec.angles
+        widest = float(np.max(thresholds))
+        # candidate partners of angle i: j in [i+1, near[i]) and j in [seam[i], n)
+        above = np.arange(1, n + 1)
+        near = np.maximum(np.searchsorted(a, a + widest + _GAP_PAD, side="right"), above)
+        seam = np.maximum(np.searchsorted(a, a + (TWO_PI - widest - _GAP_PAD)), near)
+        starts = np.concatenate([above, seam])
+        lengths = np.concatenate([near, np.full(n, n)]) - starts
+        first = np.repeat(np.tile(np.arange(n), 2), lengths)
+        second = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        d = np.abs(a[first] - a[second])
+        d = np.minimum(d, TWO_PI - d)
+        counts = np.count_nonzero(d <= thresholds[..., None], axis=-1)
+    return int(counts) if eps.ndim == 0 else counts

@@ -1,13 +1,20 @@
 """Seeded Monte Carlo harness for the identity checks and the headline run.
 
-Every experiment follows the same pattern: a module-level sample function
-maps (seed, group, sample index) to a tuple of floats, and a runner hands
-all of its (sample function, group, payload) jobs — one per N, two per N
-for ``tails`` — to a single collector call.  The collector evaluates every
-job at every index, in process or on one spawn-based pool shared by all
-jobs, and the reduction walks the samples in index order.  Because the RNG
-stream of a sample is a pure function of (seed, group, index), the emitted
-tables are bit-identical no matter how many workers participated.
+Every experiment follows the same pattern: a module-level block function
+maps a generator and a row count to that many rows of floats, and a runner
+hands all of its (block function, group, payload, rows per block) jobs —
+one per N, two per N for ``tails`` — to a single collector call.  Block b
+of a job draws from the stream keyed by (seed, group, b), so the stream of
+every row is a pure function of (seed, group, block, offset), and a failing
+sample is replayed by evaluating its block alone.  The log Z runners
+(``moments``, ``clt``, ``tails``, ``oscillation``) take up to 256 rows per
+block, a number fixed by N alone (see ``_block_rows``), and run the Szego
+recursion over the whole block at once; ``fraction``, ``traces``, ``gaps``
+and ``carrier`` take one row per block, a stream per sample.  The
+collector evaluates every block by its own call, in process or on one
+spawn-based pool shared by all jobs, and the reduction walks the rows in
+sample order, so the emitted tables are bit-identical no matter how many
+workers participated.
 
 The number of workers defaults to the CUELAB_WORKERS environment variable
 (falling back to 1); an ExperimentConfig can pin it explicitly.  Importing
@@ -28,6 +35,7 @@ import multiprocessing
 import numpy as np
 
 from .errors import (
+    CuelabError,
     DegenerateCombinationError,
     InvalidConfigError,
     NumericalFailureError,
@@ -41,7 +49,9 @@ from .sampling import (
 )
 from .spectra import (
     TWO_PI,
+    _SINGULAR_TOL,
     _check_regular,
+    _szego,
     count_in_circular_arc,
     eigenangles,
     log_z_from_chain,
@@ -69,7 +79,6 @@ from .carrier import (
     normalized_logs,
     subdivision,
 )
-from .errors import SingularPointError
 from .results import EstimateRow, ResultRecord
 
 __all__ = [
@@ -86,7 +95,11 @@ __all__ = [
 ]
 
 _WORKERS_ENV = "CUELAB_WORKERS"
-_GROUP_SHIFT = 24  # sample index occupies the low 24 bits of the child index
+_GROUP_SHIFT = 24  # block index occupies the low 24 bits of the child index
+# A log Z block draws at most 2^21 Verblunsky coefficients (about 64 MB of
+# transients at N = 2^16) in at most 256 rows; see _block_rows.
+_BLOCK_COEFFS = 1 << 21
+_BLOCK_MAX_ROWS = 256
 # A z-tested check passes at |z| <= _Z_THRESHOLD; the sampler KS
 # cross-check of ``traces`` passes at p >= _KS_LEVEL.
 _Z_THRESHOLD = 4.0
@@ -176,38 +189,64 @@ class ExperimentConfig:
 # sample plumbing
 
 
-def _stream(seed: int, group: int, index: int) -> RngStream:
-    return RngStream(seed=seed).child((group << _GROUP_SHIFT) + index)
+def _stream(seed: int, group: int, block: int) -> RngStream:
+    return RngStream(seed=seed).child((group << _GROUP_SHIFT) + block)
 
 
-def _chunk_eval(fn, seed, group, indices, payload):
-    return [fn(seed, group, k, payload) for k in indices]
+def _block_rows(dim: int) -> int:
+    """Rows per block of a log Z runner at N = dim: a function of N alone."""
+    return max(1, min(_BLOCK_MAX_ROWS, _BLOCK_COEFFS // dim))
+
+
+def _blocks_eval(fn, seed, group, payload, rows, n_samples, blocks) -> list:
+    """The rows of each listed block of one job, one ``fn`` call per block.
+
+    Block b holds the samples b*rows .. b*rows + count - 1 (the last block
+    of a job may be short) and draws from the stream (seed, group, b).
+    """
+    out = []
+    for block in blocks:
+        count = min(rows, n_samples - block * rows)
+        gen = _stream(seed, group, block).generator()
+        try:
+            values = fn(gen, count, payload)
+        except CuelabError as exc:
+            exc.add_note(f"in sample block (seed={seed}, group={group}, block={block}) "
+                         f"of {count} rows")
+            raise
+        out.append(np.reshape(np.asarray(values, dtype=float), (count, -1)))
+    return out
 
 
 def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
-    """Evaluate every job ``(fn, group, payload)`` at indices 0..samples-1.
+    """Evaluate every job ``(fn, group, payload, rows)`` at samples 0..samples-1.
 
-    Seed, sample count and workers come from ``cfg``.  Returns one array
-    per job, its rows in index order.  With more than one worker a single
-    spawn pool takes the chunks of every job before any result is awaited;
-    the first chunk that raises cancels the queued rest and its exception
-    propagates unchanged.
+    ``fn(gen, count, payload)`` returns the ``count`` rows of one block of
+    ``rows`` samples; seed, sample count and workers come from ``cfg``.
+    Returns one array per job, its rows in sample order.  With more than
+    one worker a single spawn pool takes every job, split into at most
+    4 x workers pieces of whole blocks, before any result is awaited; the
+    first piece that raises cancels the queued rest and its exception
+    propagates unchanged.  Each block is its own call either way, so no
+    row depends on how the blocks were grouped.
     """
     seed, n_samples, workers = cfg.seed, cfg.samples, cfg.resolved_workers()
+    blocks = [np.arange(-(-n_samples // rows)) for _, _, _, rows in jobs]
     if workers <= 1:
         return [
-            np.asarray(_chunk_eval(fn, seed, group, range(n_samples), payload), dtype=float)
-            for fn, group, payload in jobs
+            np.concatenate(_blocks_eval(fn, seed, group, payload, rows, n_samples, job_blocks))
+            for (fn, group, payload, rows), job_blocks in zip(jobs, blocks)
         ]
-    pieces = [
-        c.tolist() for c in np.array_split(np.arange(n_samples), workers * 4) if c.size
-    ]
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         try:
             futures = [
-                [pool.submit(_chunk_eval, fn, seed, group, piece, payload) for piece in pieces]
-                for fn, group, payload in jobs
+                [
+                    pool.submit(_blocks_eval, fn, seed, group, payload, rows, n_samples,
+                                piece.tolist())
+                    for piece in np.array_split(job_blocks, workers * 4) if piece.size
+                ]
+                for (fn, group, payload, rows), job_blocks in zip(jobs, blocks)
             ]
             flat = [fut for job in futures for fut in job]
             done, _ = wait(flat, return_when=FIRST_EXCEPTION)
@@ -217,10 +256,7 @@ def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return [
-        np.asarray([row for fut in job for row in fut.result()], dtype=float)
-        for job in futures
-    ]
+    return [np.concatenate([rows for fut in job for rows in fut.result()]) for job in futures]
 
 
 def _check(name: str, passed, detail: str = "") -> dict:
@@ -285,9 +321,8 @@ def _value_row(label: str, value: float, seed: int, n: int = 0) -> EstimateRow:
 # fraction of zeros on the circle
 
 
-def _sample_fraction(seed, group, k, payload):
+def _sample_fraction(gen, _count, payload):
     dim, grid_factor, coeffs = payload
-    gen = _stream(seed, group, k).generator()
     specs = tuple(
         eigenangles(haar_special_unitary(dim, 0.0, gen)[0]) for _ in coeffs
     )
@@ -320,7 +355,7 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     rows, checks, fractions = [], [], []
     degenerate = {}
     jobs = [
-        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients))
+        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients), 1)
         for group, dim in enumerate(cfg.dims)
     ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
@@ -397,16 +432,35 @@ _MOMENT_CASES = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
 _CLT_MAX_DIM = 1 << 16
 
 
-def _sample_log_z_at_zero(seed, group, k, dim) -> tuple[float, float]:
-    """(Re, Im) log Z(0) of the Haar U(dim) sample keyed by (seed, group, k)."""
-    gen = _stream(seed, group, k).generator()
-    re, im = log_z_verblunsky(haar_verblunsky(dim, gen), 0.0)
-    return float(re), float(im)
+def _sample_log_z_at_zero(gen, count, dim) -> np.ndarray:
+    """(Re, Im) log Z(0) of ``count`` Haar U(dim) samples, one per row."""
+    re, im = log_z_verblunsky(haar_verblunsky(dim, gen, count), 0.0)
+    return np.column_stack([re, im])
 
 
-def _sample_moment(seed, group, k, dim):
-    re, im = _sample_log_z_at_zero(seed, group, k, dim)
-    return tuple(math.exp(s * re + t * im) for (s, t) in _MOMENT_CASES)
+def _sample_moment(gen, count, dim) -> np.ndarray:
+    re, im = _sample_log_z_at_zero(gen, count, dim).T
+    s, t = np.array(_MOMENT_CASES).T
+    return np.exp(np.outer(re, s) + np.outer(im, t))
+
+
+def _log_z_at_random_angles(gen, count, dim, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) log Z at theta + offsets for ``count`` Haar U(dim) samples.
+
+    Row i draws its own theta uniform on [0, 2pi) after the coefficients of
+    the whole block.  A row whose |w_(N-1)| falls below 1e-12 at any of
+    its points sits on an eigenvalue; such rows redraw theta, in row order
+    from the same generator, until none is singular.
+    """
+    alphas = haar_verblunsky(dim, gen, count)
+    theta = gen.uniform(0.0, TWO_PI, count)
+    logs, last = _szego(alphas, np.exp(1j * (theta[:, None] + offsets)))
+    bad = np.flatnonzero(np.any(last < _SINGULAR_TOL, axis=1))
+    while bad.size:
+        theta[bad] = gen.uniform(0.0, TWO_PI, bad.size)
+        logs[bad], last[bad] = _szego(alphas[bad], np.exp(1j * (theta[bad, None] + offsets)))
+        bad = bad[np.any(last[bad] < _SINGULAR_TOL, axis=1)]
+    return logs.real, -logs.imag
 
 
 def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
@@ -419,7 +473,7 @@ def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
     started = time.time()
     rows, checks = [], []
     zs = {}
-    jobs = [(_sample_moment, group, dim) for group, dim in enumerate(cfg.dims)]
+    jobs = [(_sample_moment, group, dim, _block_rows(dim)) for group, dim in enumerate(cfg.dims)]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         for i, (s, t) in enumerate(_MOMENT_CASES):
             case = f"s={s:g},t={t:g},N={dim}"
@@ -446,8 +500,7 @@ _TRACE_PAIRS = ((1, 1), (1, 2), (3, 3), (8, 8), (12, 12))
 _TRACE_POWERS = sorted({p for pair in _TRACE_PAIRS for p in pair})
 
 
-def _sample_traces(seed, group, k, dim):
-    gen = _stream(seed, group, k).generator()
+def _sample_traces(gen, _count, dim):
     u, chain = haar_unitary(dim, gen)
     lam = np.linalg.eigvals(u.entries)
     u_qr = haar_unitary_qr_oracle(dim, gen)
@@ -478,7 +531,7 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
         raise InvalidConfigError(
             f"trace powers up to {_TRACE_POWERS[-1]} exceed the 4N window at N={dim}"
         )
-    (data,) = _collect(cfg, [(_sample_traces, 0, dim)])
+    (data,) = _collect(cfg, [(_sample_traces, 0, dim, 1)])
     rows, checks = [], []
     zs = {}
     col = 0
@@ -545,7 +598,10 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
 
     rows, checks = [], []
     ks_by_dim = {}
-    jobs = [(_sample_log_z_at_zero, group, dim) for group, dim in enumerate(cfg.dims)]
+    jobs = [
+        (_sample_log_z_at_zero, group, dim, _block_rows(dim))
+        for group, dim in enumerate(cfg.dims)
+    ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         normalized = data[:, 0] / math.sqrt(0.5 * math.log(dim))
         ks = float(stats.kstest(normalized, "norm").statistic)
@@ -604,17 +660,9 @@ _A_GRID = (0.0, 0.5, 1.0, 2.0)
 _DELTA_GRID = (0.2, 0.1, 0.05)
 
 
-def _sample_tail_modulus(seed, group, k, dim):
-    gen = _stream(seed, group, k).generator()
-    alphas = haar_verblunsky(dim, gen)
-    while True:
-        theta = gen.uniform(0.0, TWO_PI)
-        try:
-            re, im = log_z_verblunsky(alphas, theta)
-            break
-        except SingularPointError:
-            continue
-    return (math.hypot(re, im),)
+def _sample_tail_modulus(gen, count, dim) -> np.ndarray:
+    re, im = _log_z_at_random_angles(gen, count, dim, np.zeros(1))
+    return np.hypot(re, im)
 
 
 def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
@@ -630,8 +678,8 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
     rows, checks = [], []
     jobs = []
     for group, dim in enumerate(cfg.dims):
-        jobs.append((_sample_tail_modulus, 2 * group, dim))
-        jobs.append((_sample_log_z_at_zero, 2 * group + 1, dim))
+        jobs.append((_sample_tail_modulus, 2 * group, dim, _block_rows(dim)))
+        jobs.append((_sample_log_z_at_zero, 2 * group + 1, dim, _block_rows(dim)))
     data = _collect(cfg, jobs)
     for dim, tail, at_zero in zip(cfg.dims, data[0::2], data[1::2]):
         norm = math.sqrt(math.log(dim))
@@ -687,20 +735,10 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
 # oscillation of log Z over a mesoscopic shift
 
 
-def _sample_oscillation(seed, group, k, payload):
+def _sample_oscillation(gen, count, payload) -> np.ndarray:
     dim, mu = payload
-    alpha = mu / dim
-    gen = _stream(seed, group, k).generator()
-    alphas = haar_verblunsky(dim, gen)
-    while True:
-        theta = gen.uniform(0.0, TWO_PI)
-        second = math.fmod(theta + alpha, TWO_PI)
-        try:
-            re, im = log_z_verblunsky(alphas, (theta, second))
-            break
-        except SingularPointError:
-            continue
-    return (float(re[1] - re[0]), float(im[1] - im[0]))
+    re, im = _log_z_at_random_angles(gen, count, dim, np.array([0.0, mu / dim]))
+    return np.column_stack([re[:, 1] - re[:, 0], im[:, 1] - im[:, 0]])
 
 
 def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
@@ -717,7 +755,10 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
                 f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}"
             )
     rows, checks = [], []
-    jobs = [(_sample_oscillation, group, (dim, cfg.mu)) for group, dim in enumerate(cfg.dims)]
+    jobs = [
+        (_sample_oscillation, group, (dim, cfg.mu), _block_rows(dim))
+        for group, dim in enumerate(cfg.dims)
+    ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         reference = oscillation_variance_exact(dim, cfg.mu)
         for col, part in enumerate(("re", "im")):
@@ -754,11 +795,9 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
 _EPS_GRID = (0.5, 1.0)
 
 
-def _sample_gaps(seed, group, k, dim):
-    gen = _stream(seed, group, k).generator()
+def _sample_gaps(gen, _count, dim):
     u, _ = haar_unitary(dim, gen)
-    spec = eigenangles(u)
-    return tuple(float(narrow_gap_count(spec, eps)) for eps in _EPS_GRID)
+    return narrow_gap_count(eigenangles(u), np.array(_EPS_GRID))
 
 
 def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
@@ -770,7 +809,7 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     """
     started = time.time()
     dim = _one_dim(cfg)
-    (data,) = _collect(cfg, [(_sample_gaps, 0, dim)])
+    (data,) = _collect(cfg, [(_sample_gaps, 0, dim, 1)])
     rows, checks = [], []
     quad = {}
     for i, eps in enumerate(_EPS_GRID):
@@ -810,9 +849,8 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
 # carrier-wave diagnostics
 
 
-def _sample_carrier(seed, group, k, payload):
+def _sample_carrier(gen, _count, payload):
     dim, coeffs, k_div, delta, grid_factor = payload
-    gen = _stream(seed, group, k).generator()
     specs = tuple(
         eigenangles(haar_special_unitary(dim, 0.0, gen)[0]) for _ in coeffs
     )
@@ -879,7 +917,7 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     started = time.time()
     dim = _one_dim(cfg)
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
-    (data,) = _collect(cfg, [(_sample_carrier, 0, payload)])
+    (data,) = _collect(cfg, [(_sample_carrier, 0, payload, 1)])
     kept, excluded = _drop_degenerate(data, dim)
     rows = [
         EstimateRow.from_samples(label, kept[:, col], cfg.seed)

@@ -7,8 +7,10 @@ numpy's ``SeedSequence`` spawn mechanism.  Two properties matter:
 * the same (seed, stream) pair always yields the same generator, on any
   machine and under any process/worker layout;
 * distinct stream indices yield statistically independent generators, so a
-  Monte Carlo run can key one stream per sample and reduce in a fixed
-  order, making its output invariant under the worker count.
+  Monte Carlo run can key one stream per block of samples (a block of one
+  sample, or a fixed number of rows drawn as one array) and reduce in a
+  fixed order, making its output invariant under the worker count as long
+  as the block size never depends on it.
 """
 
 from __future__ import annotations

@@ -282,7 +282,7 @@ def coupled_chain_pair(N: int, theta: float, rng) -> tuple[ReflectionChain, Refl
     return ReflectionChain([forced] + tail), ReflectionChain([free] + tail)
 
 
-def haar_verblunsky(N: int, rng) -> np.ndarray:
+def haar_verblunsky(N: int, rng, n: int | None = None) -> np.ndarray:
     """Verblunsky coefficients alpha_0..alpha_{N-1} of a Haar U(N) matrix.
 
     Killip-Nenciu: the spectral measure of Haar U(N) at e_1 has independent
@@ -291,14 +291,32 @@ def haar_verblunsky(N: int, rng) -> np.ndarray:
     one ``random(2N)`` block: u[k] sets |alpha_k| (u[N-1] is unused) and
     u[N+k] its phase.  The Beta draw inverts the CDF on 1 - u in (0, 1], so
     |alpha_k| < 1 strictly.  O(N) draws, and no matrix is formed.
+
+    With ``n`` set, one ``random((n, 2N))`` block gives n independent draws
+    as the rows of an (n, N) array; row i equals the i-th of n consecutive
+    single draws from the same generator.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
+    if n is not None and (not isinstance(n, (int, np.integer)) or n < 1):
+        raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
     gen = _generator(rng)
-    u = gen.random(2 * N)
-    radius = np.ones(N)
-    radius[:-1] = np.sqrt(-np.expm1(np.log(1.0 - u[: N - 1]) / np.arange(N - 1, 0, -1)))
-    return radius * np.exp(2j * np.pi * u[N:])
+    u = gen.random(2 * N if n is None else (n, 2 * N))
+    # |alpha_k| overwrites u[..., k] in place, so a block holds u and alphas
+    # and no other array of its size
+    radius = u[..., :N]
+    radius[..., -1] = 1.0
+    head = radius[..., :-1]
+    np.subtract(1.0, head, out=head)
+    np.log(head, out=head)
+    head /= np.arange(N - 1, 0, -1)
+    np.expm1(head, out=head)
+    np.negative(head, out=head)
+    np.sqrt(head, out=head)
+    alphas = 2j * np.pi * u[..., N:]
+    np.exp(alphas, out=alphas)
+    alphas *= radius
+    return alphas
 
 
 def haar_unitary_qr_oracle(N: int, rng) -> UnitaryMatrix:

@@ -24,7 +24,6 @@ eigenangles, from the Verblunsky coefficients of the spectral measure
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,26 +165,37 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     return re.reshape(shape), im.reshape(shape)
 
 
-def _szego_log(steps: list, last: complex, z: complex) -> tuple[complex, complex]:
-    """(sum_k log w_k, b_{N-1}) along the Szego recursion at the point z.
+def _szego(alphas: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k log w_k, |w_{N-1}|) along the Szego recursion, row by row.
 
-    ``steps`` holds the pairs (alpha_k, conj alpha_k) for k < N-1 and
-    ``last`` is alpha_{N-1}.  b_0 = z, w_k = 1 - alpha_k b_k and
-    b_{k+1} = z (b_k - conj alpha_k) / w_k, so that prod_k w_k = Phi*_N(z).
-    Python complex scalars: at one or two points a numpy operation per step
-    costs more than the step itself.  Raises SingularPointError when
-    |w_{N-1}| < 1e-12.
+    ``alphas`` has shape (n, N) and ``z`` shape (n, P): row i of the
+    results is the recursion of alphas[i] at each of the points z[i].
+    b_0 = z, w_k = 1 - alpha_k b_k and b_{k+1} = z (b_k - conj alpha_k) / w_k,
+    so that prod_k w_k = Phi*_N(z); each log is on its principal branch.
+    |w_{N-1}| vanishes exactly at an eigenvalue.  One numpy step per k
+    over all n x P points; nothing is validated here, and a vanishing
+    w_{N-1} gives -inf without a warning.
     """
-    b = z
-    total = 0j
-    for a, ac in steps:
-        w = 1.0 - a * b
-        total += cmath.log(w)
-        b = z * (b - ac) / w
-    w = 1.0 - last * b
-    if abs(w) < _SINGULAR_TOL:
-        raise SingularPointError(f"z = {z!r} is an eigenvalue: |w_(N-1)| = {abs(w):.3e}")
-    return total + cmath.log(w), b
+    n_steps = alphas.shape[1]
+    b = np.array(z, dtype=np.complex128)
+    modulus = np.zeros(b.shape)
+    phase = np.zeros(b.shape)
+    w = np.empty_like(b)
+    with np.errstate(divide="ignore"):
+        for k in range(n_steps):
+            a = alphas[:, k, None]
+            np.multiply(a, b, out=w)
+            np.subtract(1.0, w, out=w)
+            last = np.abs(w)
+            # log w as log|w| + i arg w: two real ufuncs cost less than one
+            # complex log
+            modulus += np.log(last)
+            phase += np.arctan2(w.imag, w.real)
+            if k < n_steps - 1:
+                b -= a.conj()
+                b *= z
+                b /= w
+    return modulus + 1j * phase, last
 
 
 def log_z_verblunsky(alphas, thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -202,25 +212,25 @@ def log_z_verblunsky(alphas, thetas) -> tuple[np.ndarray, np.ndarray]:
     that agree at z = 0; their boundary values therefore coincide, and the
     two routes share one branch on the circle.  w_{N-1} vanishes exactly at
     an eigenvalue, and |w_{N-1}| < 1e-12 raises SingularPointError: the
-    analogue of the 1e-12 eigenangle rule of :func:`log_z`.  O(N) per point.
+    analogue of the 1e-12 eigenangle rule of :func:`log_z`.  O(N) per point,
+    with every sample and point advanced together.
     """
     alphas = np.asarray(alphas, dtype=np.complex128)
     if alphas.ndim not in (1, 2) or alphas.shape[-1] < 1:
         raise InvalidArgumentError(f"alphas must have shape (N,) or (n, N), got {alphas.shape}")
-    moduli = np.abs(alphas)
-    if not np.all(moduli[..., :-1] < 1.0):
+    if not np.all(np.abs(alphas[..., :-1]) < 1.0):
         raise InvalidArgumentError("|alpha_k| must be < 1 for k < N-1")
-    if not np.all(np.abs(moduli[..., -1] - 1.0) <= _UNIMODULAR_TOL):
+    if not np.all(np.abs(np.abs(alphas[..., -1]) - 1.0) <= _UNIMODULAR_TOL):
         raise InvalidArgumentError("|alpha_(N-1)| must be 1")
     thetas = np.asarray(thetas, dtype=np.float64)
-    points = np.exp(1j * thetas.ravel()).tolist()
     rows = alphas.reshape(-1, alphas.shape[-1])
-    logs = np.empty((len(rows), len(points)), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        steps = list(zip(row[:-1].tolist(), row[:-1].conj().tolist()))
-        last = complex(row[-1])
-        for j, z in enumerate(points):
-            logs[i, j] = _szego_log(steps, last, z)[0]
+    points = np.exp(1j * thetas.ravel())
+    logs, last = _szego(rows, np.broadcast_to(points, (len(rows), len(points))))
+    if np.any(last < _SINGULAR_TOL):
+        i, j = np.argwhere(last < _SINGULAR_TOL)[0]
+        raise SingularPointError(
+            f"z = {complex(points[j])!r} is an eigenvalue: |w_(N-1)| = {last[i, j]:.3e}"
+        )
     shape = alphas.shape[:-1] + thetas.shape
     return logs.real.reshape(shape), -logs.imag.reshape(shape)
 

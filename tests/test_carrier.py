@@ -205,6 +205,9 @@ def test_narrow_gap_count_identical_to_all_pairs_at_the_boundary():
         for eps in [*(n_dim * d[:4]), n_dim * seam, 0.5, 1.0, 3 * n_dim]:
             for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf)):
                 assert narrow_gap_count(spec, e) == all_pairs_count(spec, e), (n_dim, e)
+                # one call with two eps equals two one-eps calls
+                both = narrow_gap_count(spec, np.array([e, 0.5]))
+                assert both.tolist() == [narrow_gap_count(spec, e), narrow_gap_count(spec, 0.5)]
     spec = EigenangleSpectrum.from_angles([0.0, 1e-3, 3.0, 2 * np.pi - 1e-3])
     for eps in (4e-3, 8e-3 - 1e-12, 8e-3 + 1e-12):
         assert narrow_gap_count(spec, eps) == all_pairs_count(spec, eps)

@@ -5,6 +5,7 @@ must all pass; the statistically heavy versions live in test_acceptance.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -194,6 +195,66 @@ def test_multi_job_records_identical_for_any_worker_count(runner, base):
     assert to_json_text(serial) == to_json_text(pooled)
 
 
+@pytest.mark.parametrize(
+    "runner, base",
+    [
+        # 600 is not a multiple of 256, and N = 1 has no recursion steps
+        (run_moment_check, dict(experiment="moments", dims=(1, 2, 8), samples=600, seed=21)),
+        (run_tail_checks, dict(experiment="tails", dims=(8, 16), samples=600, seed=22)),
+        (run_oscillation_check, dict(experiment="oscillation", dims=(32,), samples=600, seed=23)),
+        # 128 rows per block at N = 16384
+        (run_clt_check, dict(experiment="clt", dims=(64, 16384), samples=300, seed=24)),
+    ],
+)
+def test_block_runners_are_worker_invariant(runner, base):
+    serial = runner(ExperimentConfig(**base, workers=1))
+    pooled = runner(ExperimentConfig(**base, workers=3))
+    assert to_json_text(serial) == to_json_text(pooled)
+
+
+@pytest.mark.parametrize(
+    "runner, fn, base",
+    [
+        (run_tail_checks, experiments._sample_tail_modulus,
+         dict(experiment="tails", dims=(8,), samples=600, seed=31)),
+        (run_oscillation_check, experiments._sample_oscillation,
+         dict(experiment="oscillation", dims=(8,), samples=600, seed=32)),
+    ],
+)
+def test_singular_row_redraws_its_theta(monkeypatch, runner, fn, base):
+    cfg = ExperimentConfig(**base, workers=1)
+    rows = experiments._block_rows(8)
+    payload = 8 if base["experiment"] == "tails" else (8, cfg.mu)
+    job = [(fn, 0, payload, rows)]
+    (clean,) = experiments._collect(cfg, job)
+    real = experiments._szego
+    calls = []
+
+    def second_call_hits_an_eigenvalue(alphas, z):
+        # the second call is the first attempt of block 1; its row 5 reads
+        # |w_(N-1)| = 0
+        logs, last = real(alphas, z)
+        calls.append(z)
+        if len(calls) == 2:
+            last[5] = 0.0
+        return logs, last
+
+    monkeypatch.setattr(experiments, "_szego", second_call_hits_an_eigenvalue)
+    (patched,) = experiments._collect(cfg, job)
+    # three blocks, and one redraw of one row
+    assert [z.shape[0] for z in calls] == [rows, rows, 1, 600 - 2 * rows]
+    # the redrawn theta is the next draw of block 1's stream
+    gen = experiments._stream(cfg.seed, 0, 1).generator()
+    experiments.haar_verblunsky(8, gen, rows)
+    gen.uniform(0.0, 2 * np.pi, rows)
+    assert np.angle(calls[2][0, 0]) % (2 * np.pi) == pytest.approx(gen.uniform(0.0, 2 * np.pi))
+    changed = np.flatnonzero(np.any(patched != clean, axis=1))
+    assert changed.tolist() == [rows + 5]
+    calls.clear()
+    record = runner(cfg)
+    assert len(calls) == 4 and record.estimates
+
+
 def test_one_spawn_pool_per_runner_call(monkeypatch):
     started = []
 
@@ -223,6 +284,10 @@ def test_worker_error_propagates_unchanged(monkeypatch, capsys):
         with pytest.raises(CuelabError) as info:
             run_carrier_diagnostics(cfg)
         raised.append(info.type)
+        # the failing sample is named by its stream: replayable in isolation
+        assert re.fullmatch(
+            r"in sample block \(seed=1, group=0, block=\d+\) of 1 rows", info.value.__notes__[-1]
+        )
     assert raised == [InvalidConfigError, InvalidConfigError]
     monkeypatch.setenv("CUELAB_WORKERS", "2")
     assert cli_main(["carrier", "--dims", "2", "--samples", "40"]) == 1

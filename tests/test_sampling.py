@@ -18,7 +18,7 @@ from cuelab import (
     haar_unitary,
     haar_unitary_qr_oracle,
 )
-from cuelab.errors import InvalidDimensionError
+from cuelab.errors import InvalidArgumentError, InvalidDimensionError
 from cuelab.sampling import haar_verblunsky, reflection_determinant, reflection_matrix
 from cuelab.spectra import eigenangles, log_z, log_z_from_chain, log_z_verblunsky
 
@@ -215,6 +215,18 @@ def test_verblunsky_draw_postconditions():
     np.testing.assert_array_equal(haar_verblunsky(9, gen(5)), haar_verblunsky(9, RngStream(SEED, 5)))
     with pytest.raises(InvalidDimensionError):
         haar_verblunsky(0, gen())
+
+
+def test_batched_verblunsky_rows_equal_sequential_draws():
+    for n_dim in (1, 2, 37):
+        batched, sequential = gen(50 + n_dim), gen(50 + n_dim)
+        block = haar_verblunsky(n_dim, batched, 5)
+        assert block.shape == (5, n_dim) and block.dtype == np.complex128
+        for row in block:
+            np.testing.assert_array_equal(row, haar_verblunsky(n_dim, sequential))
+        assert batched.random() == sequential.random()
+    with pytest.raises(InvalidArgumentError):
+        haar_verblunsky(4, gen(), 0)
 
 
 def test_verblunsky_law_matches_dense_sampler():

@@ -11,7 +11,7 @@ from cuelab.sampling import haar_verblunsky
 from cuelab.spectra import (
     EigenangleSpectrum,
     _check_regular,
-    _szego_log,
+    _szego,
     arc_count_value,
     count_in_arc,
     count_in_circular_arc,
@@ -170,16 +170,35 @@ def test_verblunsky_shapes_closed_form_and_errors():
             log_z_verblunsky(alphas, 0.0)
 
 
+def test_szego_recursion_with_per_row_points_matches_eigenangle_route():
+    # each row of a batched draw is evaluated at its own points
+    g = RngStream(SEED, 15).generator()
+    worst = 0.0
+    for n_dim in (1, 2, 5, 13, 37):
+        alphas = haar_verblunsky(n_dim, g, 8)
+        thetas = g.uniform(0.0, 2 * np.pi, (8, 3))
+        logs, last = _szego(alphas, np.exp(1j * thetas))
+        assert logs.shape == last.shape == (8, 3)
+        for row, points, value in zip(alphas, thetas, logs):
+            angles = np.mod(np.angle(np.roots(szego_polynomial(row))), 2 * np.pi)
+            ref_re, ref_im = log_z_grid(angles, points)
+            worst = max(worst, np.max(np.abs(value.real - ref_re)))
+            worst = max(worst, np.max(np.abs(-value.imag - ref_im)))
+    assert worst < 1e-9
+
+
 def test_szego_recursion_stays_on_the_circle_at_large_n():
-    # |b_k| = 1 on the circle in exact arithmetic; rounding must not push it off
+    # |b_k| = 1 on the circle in exact arithmetic; rounding must not push it
+    # off.  With alpha_k = +-1 appended, |w_k| = |1 -+ b_k|, and
+    # |1 - b|^2 + |1 + b|^2 = 2 + 2 |b|^2 recovers |b_k|.
     n_dim = 1 << 16
     alphas = haar_verblunsky(n_dim, RngStream(SEED, 14).generator())
-    steps = list(zip(alphas[:-1].tolist(), alphas[:-1].conj().tolist()))
-    for t in (0.0, 2.0):
-        z = complex(np.exp(1j * t))
-        for k in (1 << 8, 1 << 12, 1 << 14, n_dim - 1):
-            _, b = _szego_log(steps[:k], complex(alphas[-1]), z)
-            assert abs(abs(b) - 1.0) < 1e-9
+    z = np.exp(1j * np.array([[0.0, 2.0], [0.0, 2.0]]))
+    for k in (1 << 8, 1 << 12, 1 << 14, n_dim - 1):
+        probes = np.stack([np.append(alphas[:k], 1.0), np.append(alphas[:k], -1.0)])
+        _, last = _szego(probes, z)
+        b = np.sqrt((last[0] ** 2 + last[1] ** 2) / 2.0 - 1.0)
+        assert np.all(np.abs(b - 1.0) < 1e-9)
     re, im = log_z_verblunsky(alphas, [0.0, 2.0])
     assert np.all(np.isfinite(re)) and np.all(np.abs(im) < n_dim * np.pi / 2)
 
