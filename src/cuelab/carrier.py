@@ -205,37 +205,48 @@ def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> flo
     )
 
 
-def narrow_gap_count(spec: EigenangleSpectrum, eps) -> int | np.ndarray:
+def narrow_gap_count(spec, eps) -> int | np.ndarray:
     """chi_eps: unordered eigenangle pairs at circular distance <= eps/N.
 
-    The angles are sorted in [0, 2pi), so the partners j > i of angle i lie
-    in a run just above it and, across the 0/2pi seam, in a run at the top
-    of the circle.  ``searchsorted`` finds both runs with keys padded by
-    1e-9, and the all-pairs predicate min(d, 2pi - d) <= eps/N then decides
-    each candidate, so the count is the all-pairs count exactly while only
-    nearby pairs are ever formed.  ``eps`` may be one value (an int is
-    returned) or a 1-D array (an int array): the runs are searched once, at
-    the largest eps, and every threshold decides the same candidates.
+    ``spec`` is an EigenangleSpectrum, or sorted angles in [0, 2pi) of
+    shape (N,) or (n, N), one spectrum per row.  Within a row the partners
+    j > i of angle i lie in a run just above it and, across the 0/2pi seam,
+    in a run at the top of the circle.  One ``searchsorted`` over all rows
+    finds both runs: the key of angle a in row r is the complex number
+    r + i a, which numpy orders lexicographically, so no run leaves its
+    row.  The angle keys are padded by 1e-9, and the all-pairs predicate
+    min(d, 2pi - d) <= eps/N then decides each candidate, so the count is
+    the all-pairs count exactly while only nearby pairs are ever formed.
+    ``eps`` may be one value or a 1-D array: the runs are searched once,
+    at the largest eps, and every threshold decides the same candidates.
+    The result has shape ``angles.shape[:-1] + eps.shape``, and is an int
+    for one spectrum and one eps.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim > 1 or eps.size == 0 or not np.all(eps > 0.0):
         raise InvalidArgumentError(f"eps must be positive, got {eps.tolist()!r}")
-    n = spec.dim
-    thresholds = eps / n
-    if n < 2:
-        counts = np.zeros(eps.shape, dtype=int)
-    else:
-        a = spec.angles
-        widest = float(np.max(thresholds))
-        # candidate partners of angle i: j in [i+1, near[i]) and j in [seam[i], n)
-        above = np.arange(1, n + 1)
-        near = np.maximum(np.searchsorted(a, a + widest + _GAP_PAD, side="right"), above)
-        seam = np.maximum(np.searchsorted(a, a + (TWO_PI - widest - _GAP_PAD)), near)
+    angles = np.asarray(spec.angles if isinstance(spec, EigenangleSpectrum) else spec, dtype=float)
+    rows = angles.reshape(-1, angles.shape[-1])
+    m, n = rows.shape
+    thresholds = np.reshape(eps / n, (-1, 1))
+    counts = np.zeros((len(thresholds), m), dtype=int)
+    if n >= 2:
+        widest = float(np.max(thresholds)) + _GAP_PAD
+        label = np.repeat(np.arange(m), n)
+        a = rows.ravel()
+        keys = label + 1j * a
+        # candidate partners of angle k: [k+1, near[k]) and [seam[k], end[k])
+        above = np.arange(1, m * n + 1)
+        end = (label + 1) * n
+        near = np.maximum(np.searchsorted(keys, label + 1j * (a + widest), side="right"), above)
+        seam = np.maximum(np.searchsorted(keys, label + 1j * (a + (TWO_PI - widest))), near)
         starts = np.concatenate([above, seam])
-        lengths = np.concatenate([near, np.full(n, n)]) - starts
-        first = np.repeat(np.tile(np.arange(n), 2), lengths)
+        lengths = np.concatenate([near, end]) - starts
+        first = np.repeat(np.tile(np.arange(m * n), 2), lengths)
         second = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
         d = np.abs(a[first] - a[second])
         d = np.minimum(d, TWO_PI - d)
-        counts = np.count_nonzero(d <= thresholds[..., None], axis=-1)
-    return int(counts) if eps.ndim == 0 else counts
+        for counted, hits in zip(counts, d <= thresholds):
+            counted[:] = np.bincount(label[first[hits]], minlength=m)
+    counts = np.moveaxis(counts, 0, -1).reshape(angles.shape[:-1] + eps.shape)
+    return int(counts) if counts.ndim == 0 else counts

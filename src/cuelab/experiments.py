@@ -7,11 +7,13 @@ one per N, two per N for ``tails`` — to a single collector call.  Block b
 of a job draws from the stream keyed by (seed, group, b), so the stream of
 every row is a pure function of (seed, group, block, offset), and a failing
 sample is replayed by evaluating its block alone.  The log Z runners
-(``moments``, ``clt``, ``tails``, ``oscillation``) take up to 256 rows per
-block, a number fixed by N alone (see ``_block_rows``), and run the Szego
-recursion over the whole block at once; ``fraction``, ``traces``, ``gaps``
-and ``carrier`` take one row per block, a stream per sample.  The
-collector evaluates every block by its own call, in process or on one
+(``moments``, ``clt``, ``tails``, ``oscillation``) and the dense runners
+(``traces``, ``gaps``) take up to 256 rows per block, a number fixed by N
+alone (see ``_block_rows``).  A log Z block runs the Szego recursion over
+all its rows at once; a dense block draws its matrices as one stacked
+reflection product and takes their spectra with one ``eigvals`` call.
+``fraction`` and ``carrier`` take one row per block, a stream per sample.
+The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
 workers participated.
@@ -97,8 +99,11 @@ __all__ = [
 _WORKERS_ENV = "CUELAB_WORKERS"
 _GROUP_SHIFT = 24  # block index occupies the low 24 bits of the child index
 # A log Z block draws at most 2^21 Verblunsky coefficients (about 64 MB of
-# transients at N = 2^16) in at most 256 rows; see _block_rows.
+# transients at N = 2^16), and a dense block at most 2^15 matrix entries
+# (512 KB per stack of complex matrices), in at most 256 rows; see
+# _block_rows.
 _BLOCK_COEFFS = 1 << 21
+_BLOCK_ENTRIES = 1 << 15
 _BLOCK_MAX_ROWS = 256
 # A z-tested check passes at |z| <= _Z_THRESHOLD; the sampler KS
 # cross-check of ``traces`` passes at p >= _KS_LEVEL.
@@ -193,9 +198,14 @@ def _stream(seed: int, group: int, block: int) -> RngStream:
     return RngStream(seed=seed).child((group << _GROUP_SHIFT) + block)
 
 
-def _block_rows(dim: int) -> int:
-    """Rows per block of a log Z runner at N = dim: a function of N alone."""
-    return max(1, min(_BLOCK_MAX_ROWS, _BLOCK_COEFFS // dim))
+def _block_rows(size: int, budget: int = _BLOCK_COEFFS) -> int:
+    """Rows per block when a row holds ``size`` numbers: a function of N alone.
+
+    The log Z runners pass N coefficients against the 2^21 budget, the
+    dense runners N^2 entries against ``_BLOCK_ENTRIES``: 32 rows at N = 32,
+    256 at N <= 11 and one from N = 129 on.
+    """
+    return max(1, min(_BLOCK_MAX_ROWS, budget // size))
 
 
 def _blocks_eval(fn, seed, group, payload, rows, n_samples, blocks) -> list:
@@ -500,30 +510,35 @@ _TRACE_PAIRS = ((1, 1), (1, 2), (3, 3), (8, 8), (12, 12))
 _TRACE_POWERS = sorted({p for pair in _TRACE_PAIRS for p in pair})
 
 
-def _sample_traces(gen, _count, dim):
-    u, chain = haar_unitary(dim, gen)
-    lam = np.linalg.eigvals(u.entries)
-    u_qr = haar_unitary_qr_oracle(dim, gen)
-    lam_qr = np.linalg.eigvals(u_qr.entries)
-    out = []
-    for eig in (lam, lam_qr):
-        traces = {p: complex((eig ** p).sum()) for p in _TRACE_POWERS}
+def _sample_traces(gen, count, dim) -> np.ndarray:
+    """Trace products and log|Z(0)| of ``count`` draws from each sampler.
+
+    The block draws its ``count`` reflection matrices and then its
+    ``count`` QR matrices; one ``eigvals`` call takes both stacks.  Each row
+    holds (re, im) of tr U^p conj(tr U^q) per pair, reflection first, then
+    log|Z(0)| from the reflection chain and from the QR eigenvalues.
+    """
+    u, chain = haar_unitary(dim, gen, count)
+    u_qr = haar_unitary_qr_oracle(dim, gen, count)
+    columns = []
+    eigs = np.linalg.eigvals(np.stack([u, u_qr]))
+    for eig in eigs:
+        traces = {p: np.sum(eig ** p, axis=-1) for p in _TRACE_POWERS}
         for p, q in _TRACE_PAIRS:
             v = traces[p] * np.conj(traces[q])
-            out.append(v.real)
-            out.append(v.imag)
-    out.append(log_z_from_chain(chain).re)
-    out.append(float(np.log(np.abs(np.prod(1.0 - lam_qr)))))
-    return tuple(out)
+            columns += [v.real, v.imag]
+    columns.append(log_z_from_chain(chain).re)
+    columns.append(np.log(np.abs(np.prod(1.0 - eigs[1], axis=-1))))
+    return np.column_stack(columns)
 
 
 def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
     """E[tr U^p conj(tr U^q)] against 1_{p=q} (|p| wedge N), both samplers.
 
-    The same per-sample stream drives the reflection draw and then the QR
-    oracle draw, and the two log|Z(0)| batches feed a two-sample KS test,
-    so one run cross-validates the samplers against each other as well as
-    against the formula.
+    The same block stream drives the block's reflection draws and then its
+    QR oracle draws, and the two log|Z(0)| batches feed a two-sample KS
+    test, so one run cross-validates the samplers against each other as
+    well as against the formula.
     """
     started = time.time()
     dim = _one_dim(cfg)
@@ -531,7 +546,7 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
         raise InvalidConfigError(
             f"trace powers up to {_TRACE_POWERS[-1]} exceed the 4N window at N={dim}"
         )
-    (data,) = _collect(cfg, [(_sample_traces, 0, dim, 1)])
+    (data,) = _collect(cfg, [(_sample_traces, 0, dim, _block_rows(dim * dim, _BLOCK_ENTRIES))])
     rows, checks = [], []
     zs = {}
     col = 0
@@ -795,8 +810,9 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
 _EPS_GRID = (0.5, 1.0)
 
 
-def _sample_gaps(gen, _count, dim):
-    u, _ = haar_unitary(dim, gen)
+def _sample_gaps(gen, count, dim) -> np.ndarray:
+    """Narrow-pair counts at each eps of ``count`` Haar U(dim) spectra."""
+    u, _ = haar_unitary(dim, gen, count)
     return narrow_gap_count(eigenangles(u), np.array(_EPS_GRID))
 
 
@@ -809,7 +825,7 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     """
     started = time.time()
     dim = _one_dim(cfg)
-    (data,) = _collect(cfg, [(_sample_gaps, 0, dim, 1)])
+    (data,) = _collect(cfg, [(_sample_gaps, 0, dim, _block_rows(dim * dim, _BLOCK_ENTRIES))])
     rows, checks = [], []
     quad = {}
     for i, eps in enumerate(_EPS_GRID):

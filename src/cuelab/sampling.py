@@ -61,6 +61,12 @@ def _generator(rng) -> np.random.Generator:
     raise InvalidArgumentError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _check_rows(n) -> None:
+    """Validate the row count of a stacked draw (None means a single draw)."""
+    if n is not None and (not isinstance(n, (int, np.integer)) or n < 1):
+        raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
+
+
 @dataclass
 class UnitaryMatrix:
     """A dense N x N unitary matrix.
@@ -112,7 +118,8 @@ class ReflectionChain:
     """The vectors (x_1, ..., x_N) of a reflection decomposition.
 
     ``vectors[j-1]`` is the length-j unit vector x_j; ``x_1`` is stored as a
-     1-vector whose single entry has unit modulus.
+    1-vector whose single entry has unit modulus.  A stack of n chains
+    holds ``vectors[j-1]`` of shape (n, j), row i belonging to chain i.
     """
 
     vectors: list = field(default_factory=list)
@@ -122,14 +129,14 @@ class ReflectionChain:
         return len(self.vectors)
 
     def last_components(self) -> np.ndarray:
-        """The inner products <x_j, e_j> (the last component of each x_j)."""
-        return np.array([x[-1] for x in self.vectors], dtype=np.complex128)
+        """The inner products <x_j, e_j>: shape (N,), or (n, N) for a stack."""
+        return np.array([x[..., -1] for x in self.vectors], dtype=np.complex128).T
 
     def check(self, tol: float = 1e-12) -> "ReflectionChain":
         for j, x in enumerate(self.vectors, start=1):
-            if len(x) != j:
-                raise InvalidDimensionError(f"vector {j} has length {len(x)}, expected {j}")
-            err = abs(np.linalg.norm(x) - 1.0)
+            if x.shape[-1] != j:
+                raise InvalidDimensionError(f"vector {j} has length {x.shape[-1]}, expected {j}")
+            err = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0))
             if err > tol:
                 raise NumericalFailureError(f"vector {j} norm off by {err:.3e}")
         return self
@@ -178,63 +185,103 @@ def reflection_determinant(x: np.ndarray) -> complex:
 
 
 def _apply_chain(vectors: list) -> np.ndarray:
-    """Multiply out R(x_N) diag(R(x_{N-1}),1) ... via in-place rank-one updates."""
-    n = len(vectors)
-    u_mat = np.zeros((n, n), dtype=np.complex128)
-    for j, x in enumerate(vectors, start=1):
-        u_mat[j - 1, j - 1] = 1.0
-        gamma = _reflection_gamma(x)
-        if gamma == 0:
-            continue
-        u = -x.copy()
-        u[-1] += 1.0
-        block = u_mat[:j, :j]
-        block -= np.outer(u, (u.conj() @ block) / gamma)
-    return u_mat
+    """Multiply out R(x_N) diag(R(x_{N-1}),1) ... via in-place rank-one updates.
+
+    ``vectors`` holds the x_j of one chain, shape (j,), or of a stack,
+    shape (n, j); the product has shape (N, N) or (n, N, N).  Step j updates
+    the leading j x j block of every matrix by one stacked matmul, and a
+    pivot gamma = 0 (x_j = e_j) leaves its matrix alone.
+    """
+    x = np.concatenate(vectors, axis=-1)
+    dim = len(vectors)
+    flat = x.reshape(-1, x.shape[-1])
+    starts = [j * (j - 1) // 2 for j in range(1, dim + 1)]
+    lasts = [start + j - 1 for j, start in enumerate(starts, start=1)]
+    # u_j = e_j - x_j, and the pivot gamma_j = 1 - conj(x_j[-1]) = conj(u_j[-1])
+    u = -flat
+    u_last = 1.0 - flat[:, lasts]
+    u[:, lasts] = u_last
+    gamma = u_last.conj()
+    if not gamma.all():
+        fixed = gamma == 0
+        gamma[fixed] = 1.0
+        u[np.repeat(fixed, range(1, dim + 1), axis=1)] = 0.0
+    u_conj = u[:, None, :].conj()
+    gamma = gamma.T[:, :, None, None]
+    # the diagonal entry j of the identity is what step j finds there
+    u_mat = np.zeros((len(flat), dim, dim), dtype=np.complex128)
+    u_mat.reshape(len(flat), -1)[:, :: dim + 1] = 1.0
+    for j, start in enumerate(starts, start=1):
+        block = u_mat[:, :j, :j]
+        row = u_conj[..., start : start + j] @ block
+        row /= gamma[j - 1]
+        block -= u[:, start : start + j, None] * row
+    return u_mat.reshape(x.shape[:-1] + (dim, dim))
 
 
 def chain_to_matrix(chain: ReflectionChain) -> UnitaryMatrix:
-    """Evaluate the reflection product of a chain as a dense matrix."""
+    """Evaluate the reflection product of one chain as a dense matrix."""
     if chain.dim < 1:
         raise InvalidDimensionError("chain must contain at least one vector")
     return UnitaryMatrix(_apply_chain(chain.vectors), chain.dim)
 
 
-def _gaussian_block(gen: np.random.Generator, sizes) -> list:
+def _gaussian_block(gen: np.random.Generator, sizes, n: int | None = None) -> list:
     """Draw normalized sphere vectors of the given sizes from one flat block.
 
     A single standard_normal call keeps the draw sequence (and therefore the
     per-stream determinism) independent of how the vectors are consumed.
+    With ``n`` set, one ``standard_normal((n, total, 2))`` block gives each
+    vector the shape (n, size), row i being the i-th of n consecutive
+    single draws.  Each norm is two real dot products, as
+    ``np.linalg.norm`` forms it, so a row is bit-equal to its single draw.
     """
-    total = int(sum(sizes))
-    raw = gen.standard_normal(2 * total)
-    z = raw[0::2] + 1j * raw[1::2]
-    out = []
-    offset = 0
+    sizes = list(sizes)
+    # (re, im) pairs, read in place as the complex entries
+    raw = gen.standard_normal((1 if n is None else n, sum(sizes), 2))
+    z = raw.view(np.complex128)[..., 0]
+    parts, start = [], 0
     for size in sizes:
-        v = z[offset : offset + size]
-        offset += size
-        out.append(v / np.linalg.norm(v))
-    return out
+        parts.append(slice(start, start + size))
+        start += size
+    squares = np.empty((len(sizes), len(z)))
+    for k, part in enumerate(parts):
+        v = raw[:, part].transpose(2, 0, 1)
+        re, im = np.vecdot(v, v)
+        np.add(re, im, out=squares[k])
+    z /= np.repeat(np.sqrt(squares.T), sizes, axis=1)
+    if n is None:
+        z = z[0]
+    return [z[..., part] for part in parts]
 
 
-def haar_reflection_chain(N: int, rng) -> ReflectionChain:
+def haar_reflection_chain(N: int, rng, n: int | None = None) -> ReflectionChain:
     """Sample the reflection chain of a Haar unitary without assembling it.
 
     Building the chain costs O(N^2) draws versus O(N^3) work for the dense
     matrix, so spectrum-free statistics (anything derived from log Z(0))
-    stay cheap at large N.
+    stay cheap at large N.  With ``n`` set, the chain is a stack of n
+    chains whose row i is the i-th of n consecutive single draws.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
+    _check_rows(n)
     gen = _generator(rng)
-    return ReflectionChain(_gaussian_block(gen, range(1, N + 1)))
+    return ReflectionChain(_gaussian_block(gen, range(1, N + 1), n))
 
 
-def haar_unitary(N: int, rng) -> tuple[UnitaryMatrix, ReflectionChain]:
-    """Sample Haar measure on U(N) by the reflection decomposition."""
-    chain = haar_reflection_chain(N, rng)
-    return chain_to_matrix(chain), chain
+def haar_unitary(N: int, rng, n: int | None = None):
+    """Sample Haar measure on U(N) by the reflection decomposition.
+
+    Returns ``(UnitaryMatrix, ReflectionChain)``.  With ``n`` set it returns
+    the (n, N, N) array of n matrices and their stacked chain instead:
+    matrix i equals the i-th of n consecutive single draws from the same
+    generator, and single and stacked draws run the same product.
+    """
+    chain = haar_reflection_chain(N, rng, n)
+    if n is None:
+        return chain_to_matrix(chain), chain
+    return _apply_chain(chain.vectors), chain
 
 
 def _forced_first_vector(vectors: list, N: int, theta: float) -> np.ndarray:
@@ -298,8 +345,7 @@ def haar_verblunsky(N: int, rng, n: int | None = None) -> np.ndarray:
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
-    if n is not None and (not isinstance(n, (int, np.integer)) or n < 1):
-        raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
+    _check_rows(n)
     gen = _generator(rng)
     u = gen.random(2 * N if n is None else (n, 2 * N))
     # |alpha_k| overwrites u[..., k] in place, so a block holds u and alphas
@@ -319,19 +365,24 @@ def haar_verblunsky(N: int, rng, n: int | None = None) -> np.ndarray:
     return alphas
 
 
-def haar_unitary_qr_oracle(N: int, rng) -> UnitaryMatrix:
+def haar_unitary_qr_oracle(N: int, rng, n: int | None = None):
     """Independent Haar sampler: QR of a complex Ginibre matrix.
 
     The Q factor of a standard complex Gaussian matrix, with each column
     rephased by the sign of the corresponding diagonal entry of R, is Haar
     distributed (the phase fix removes the convention-dependence of QR).
-    Used only to cross-validate the reflection sampler.
+    Used only to cross-validate the reflection sampler.  A draw takes the
+    real and then the imaginary part from one ``standard_normal`` block.
+    With ``n`` set, one ``standard_normal((n, 2, N, N))`` block and one
+    stacked QR give an (n, N, N) array whose matrix i equals the i-th of n
+    consecutive single draws; without it a UnitaryMatrix is returned.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
+    _check_rows(n)
     gen = _generator(rng)
-    a = gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q, N)
+    parts = gen.standard_normal((1 if n is None else n, 2, N, N))
+    q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return UnitaryMatrix(q[0], N) if n is None else q

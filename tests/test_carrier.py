@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cuelab import RngStream, haar_special_unitary
+from cuelab import RngStream, haar_special_unitary, haar_unitary
 from cuelab.carrier import (
     CarrierWaveConfig,
     carrier_wave_index,
@@ -196,18 +196,26 @@ def test_narrow_gap_count_identical_to_all_pairs_at_the_boundary():
     # eps on, just under and just over N times each of the smallest pair
     # distances, including pairs across the 0/2pi seam
     g = RngStream(SEED, 12).generator()
+    others = RngStream(SEED, 13).generator()
     for n_dim in range(2, 65):
         spec = eigenangles(haar_special_unitary(n_dim, 0.0, g)[0])
         a = spec.angles
         d = np.abs(a[:, None] - a[None, :])
         d = np.sort(np.minimum(d, 2 * np.pi - d)[np.triu_indices(n_dim, 1)])
         seam = 2 * np.pi - (a[-1] - a[0])
+        # this spectrum between two others, as the rows of one stack
+        stack = eigenangles(haar_unitary(n_dim, others, 3)[0])
+        stack[1] = a
         for eps in [*(n_dim * d[:4]), n_dim * seam, 0.5, 1.0, 3 * n_dim]:
             for e in (np.nextafter(eps, 0.0), eps, np.nextafter(eps, np.inf)):
                 assert narrow_gap_count(spec, e) == all_pairs_count(spec, e), (n_dim, e)
                 # one call with two eps equals two one-eps calls
                 both = narrow_gap_count(spec, np.array([e, 0.5]))
                 assert both.tolist() == [narrow_gap_count(spec, e), narrow_gap_count(spec, 0.5)]
+                # one stacked call equals the row-by-row calls
+                rows = [narrow_gap_count(row, np.array([e, 0.5])) for row in stack]
+                np.testing.assert_array_equal(narrow_gap_count(stack, np.array([e, 0.5])), rows)
+                assert narrow_gap_count(stack, e).tolist() == [r[0] for r in rows]
     spec = EigenangleSpectrum.from_angles([0.0, 1e-3, 3.0, 2 * np.pi - 1e-3])
     for eps in (4e-3, 8e-3 - 1e-12, 8e-3 + 1e-12):
         assert narrow_gap_count(spec, eps) == all_pairs_count(spec, eps)

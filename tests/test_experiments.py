@@ -204,6 +204,9 @@ def test_multi_job_records_identical_for_any_worker_count(runner, base):
         (run_oscillation_check, dict(experiment="oscillation", dims=(32,), samples=600, seed=23)),
         # 128 rows per block at N = 16384
         (run_clt_check, dict(experiment="clt", dims=(64, 16384), samples=300, seed=24)),
+        # dense blocks: 256 rows at N = 8 and 32 rows at N = 32
+        (run_trace_covariance, dict(experiment="traces", dims=(8,), samples=600, seed=25)),
+        (run_gap_check, dict(experiment="gaps", dims=(32,), samples=100, seed=26)),
     ],
 )
 def test_block_runners_are_worker_invariant(runner, base):
@@ -253,6 +256,26 @@ def test_singular_row_redraws_its_theta(monkeypatch, runner, fn, base):
     calls.clear()
     record = runner(cfg)
     assert len(calls) == 4 and record.estimates
+
+
+def test_failing_spectrum_row_names_its_block(monkeypatch):
+    # row 3 of block 1 is scaled so that its eigenvalues have modulus 1.1
+    real = experiments.haar_unitary
+    blocks = []
+
+    def second_block_has_a_bad_row(dim, gen, n=None):
+        u, chain = real(dim, gen, n)
+        blocks.append(u)
+        if len(blocks) == 2:
+            u[3] *= 1.1
+        return u, chain
+
+    monkeypatch.setattr(experiments, "haar_unitary", second_block_has_a_bad_row)
+    cfg = ExperimentConfig(experiment="gaps", dims=(32,), samples=100, seed=7, workers=1)
+    with pytest.raises(NumericalFailureError, match=r"deviate from 1 by 1\.000e-01 in row 3") as info:
+        run_gap_check(cfg)
+    assert info.value.__notes__[-1] == "in sample block (seed=7, group=0, block=1) of 32 rows"
+    assert len(blocks) == 2
 
 
 def test_one_spawn_pool_per_runner_call(monkeypatch):
@@ -444,6 +467,49 @@ def test_fraction_runner_audits_and_baseline():
     row = rec.estimates[0]
     assert row.label == "N=8"
     assert 0.5 < row.mean <= 1.0
+
+
+def su2_fraction_on_circle(b1, b2):
+    """Exact mean circle fraction of b1 Z_1 + b2 Z_2 for Haar SU(2) terms.
+
+    With eigenangles +-phi_j, Z_j(z) = 1 - 2 cos(phi_j) z + z^2, so the
+    combination is B (1 + z^2) - 2 C z with B = b1 + b2 and
+    C = b1 cos phi_1 + b2 cos phi_2: both zeros lie on the circle iff
+    |C| <= |B|, and none does otherwise.  phi_j has the Weyl density
+    (2/pi) sin^2 phi on [0, pi], whose distribution function is
+    (phi - sin phi cos phi)/pi; the inner integral over phi_2 is that
+    function at the two ends of the admissible arc, the outer one is a
+    1-D quadrature.
+    """
+    from scipy.integrate import quad
+
+    bound = abs(b1 + b2)
+
+    def weyl_cdf(phi):
+        return (phi - np.sin(phi) * np.cos(phi)) / np.pi
+
+    def inner(phi1):
+        ends = np.sort([(-bound - b1 * np.cos(phi1)) / b2, (bound - b1 * np.cos(phi1)) / b2])
+        lo, hi = np.arccos(np.clip(ends, -1.0, 1.0))
+        return weyl_cdf(lo) - weyl_cdf(hi)
+
+    return quad(lambda phi: 2.0 / np.pi * np.sin(phi) ** 2 * inner(phi), 0.0, np.pi, limit=200)[0]
+
+
+@pytest.mark.parametrize(
+    "coeffs, exact", [((1.0, -2.0), 0.584376), ((1.0, -3.0), 0.764168), ((2.0, -3.0), 0.389084)]
+)
+def test_fraction_at_n2_matches_exact_su2_reference(coeffs, exact):
+    reference = su2_fraction_on_circle(*coeffs)
+    assert reference == pytest.approx(exact, abs=1e-6)
+    cfg = ExperimentConfig(
+        experiment="fraction", dims=(2,), coefficients=coeffs, samples=2000, seed=52011
+    )
+    # only the N=2 row is read: the 1/sqrt(3)+0.05 baseline check does not
+    # hold at (2, -3)
+    (row,) = [r for r in run_fraction_on_circle(cfg).estimates if r.label == "N=2"]
+    z = (row.mean - reference) / row.stderr
+    assert abs(z) <= 4.0, f"N=2 fraction {row.mean:.4f} vs exact {reference:.6f}: z = {z:.2f}"
 
 
 def test_selftest_runner_all_green():

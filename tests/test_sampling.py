@@ -149,6 +149,31 @@ def test_coupled_pair_dets_and_imaginary_parts():
         assert gap <= np.pi + 1e-12
 
 
+def test_stacked_dense_draws_rows_equal_sequential_draws():
+    # row i of a stacked draw is the i-th of n single draws from the same
+    # generator, for both samplers, and the generator ends in the same state
+    for n_dim in (1, 2, 37):
+        stacked, sequential = gen(60 + n_dim), gen(60 + n_dim)
+        block, chain = haar_unitary(n_dim, stacked, 5)
+        assert block.shape == (5, n_dim, n_dim)
+        assert chain.last_components().shape == (5, n_dim)
+        for i in range(5):
+            u, single = haar_unitary(n_dim, sequential)
+            assert np.abs(block[i] - u.entries).max() <= 1e-13
+            np.testing.assert_array_equal(chain.last_components()[i], single.last_components())
+        assert stacked.random() == sequential.random()
+        block = haar_unitary_qr_oracle(n_dim, stacked, 5)
+        assert block.shape == (5, n_dim, n_dim)
+        for i in range(5):
+            assert np.abs(block[i] - haar_unitary_qr_oracle(n_dim, sequential).entries).max() <= 1e-13
+        assert stacked.random() == sequential.random()
+    for bad in (0, 2.5):
+        with pytest.raises(InvalidArgumentError):
+            haar_unitary(4, gen(), bad)
+        with pytest.raises(InvalidArgumentError):
+            haar_unitary_qr_oracle(4, gen(), bad)
+
+
 def test_qr_oracle_is_unitary_with_unimodular_det():
     g = gen(12)
     u = haar_unitary_qr_oracle(11, g)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cuelab import RngStream, chain_to_matrix, haar_reflection_chain, haar_unitary
-from cuelab.errors import InvalidArgumentError, SingularPointError
-from cuelab.sampling import haar_verblunsky
+from cuelab.errors import InvalidArgumentError, NumericalFailureError, SingularPointError
+from cuelab.sampling import UnitaryMatrix, haar_verblunsky
 from cuelab.spectra import (
     EigenangleSpectrum,
     _check_regular,
@@ -38,6 +38,25 @@ def test_eigenangles_sorted_in_standard_window():
     assert spec.angles[0] >= 0.0 and spec.angles[-1] < 2 * np.pi
     assert abs(np.exp(1j * spec.angles.sum()) - np.exp(1j * spec.det_phase)) < 1e-10
     spec.check()
+
+
+def test_stacked_eigenangles_equal_per_matrix_calls():
+    g = RngStream(SEED, 40).generator()
+    for n_dim in (1, 2, 13):
+        block, _ = haar_unitary(n_dim, g, 6)
+        angles = eigenangles(block)
+        assert angles.shape == (6, n_dim)
+        for row, u in zip(angles, block):
+            np.testing.assert_array_equal(row, eigenangles(UnitaryMatrix(u)).angles)
+    with pytest.raises(InvalidArgumentError):
+        eigenangles(block[0])
+
+
+def test_stacked_eigenangles_check_every_row():
+    block, _ = haar_unitary(6, RngStream(SEED, 41).generator(), 4)
+    block[2] *= 1.1
+    with pytest.raises(NumericalFailureError, match="deviate from 1 by .* in row 2"):
+        eigenangles(block)
 
 
 def test_from_angles_round_trip():
