@@ -516,7 +516,9 @@ def _sample_traces(gen, count, dim) -> np.ndarray:
     The block draws its ``count`` reflection matrices and then its
     ``count`` QR matrices; one ``eigvals`` call takes both stacks.  Each row
     holds (re, im) of tr U^p conj(tr U^q) per pair, reflection first, then
-    log|Z(0)| from the reflection chain and from the QR eigenvalues.
+    log|Z(0)| from the reflection chain and from the QR eigenvalues.  The
+    parts are formed from real products, so im is exactly 0 when p = q
+    (numpy's stacked complex multiply leaves a rounding residue there).
     """
     u, chain = haar_unitary(dim, gen, count)
     u_qr = haar_unitary_qr_oracle(dim, gen, count)
@@ -525,8 +527,8 @@ def _sample_traces(gen, count, dim) -> np.ndarray:
     for eig in eigs:
         traces = {p: np.sum(eig ** p, axis=-1) for p in _TRACE_POWERS}
         for p, q in _TRACE_PAIRS:
-            v = traces[p] * np.conj(traces[q])
-            columns += [v.real, v.imag]
+            a, b = traces[p], traces[q]
+            columns += [a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag]
     columns.append(log_z_from_chain(chain).re)
     columns.append(np.log(np.abs(np.prod(1.0 - eigs[1], axis=-1))))
     return np.column_stack(columns)

@@ -234,7 +234,8 @@ def _gaussian_block(gen: np.random.Generator, sizes, n: int | None = None) -> li
     With ``n`` set, one ``standard_normal((n, total, 2))`` block gives each
     vector the shape (n, size), row i being the i-th of n consecutive
     single draws.  Each norm is two real dot products, as
-    ``np.linalg.norm`` forms it, so a row is bit-equal to its single draw.
+    ``np.linalg.norm`` forms it (``np.vecdot`` calls the same BLAS dot), so
+    a row is bit-equal to its single draw.
     """
     sizes = list(sizes)
     # (re, im) pairs, read in place as the complex entries

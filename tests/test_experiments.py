@@ -366,6 +366,11 @@ def test_trace_runner_both_samplers_and_ks_gate():
     # the Kolmogorov-Smirnov comparison between the two samplers is recorded
     names = [c[0] for c in rec.checks()]
     assert any("KS" in name for name in names)
+    # |tr U^p|^2 is real: its imaginary row is exactly zero, not rounding noise
+    diagonal = [f"p={p},q={p} " for p in (1, 3, 8, 12)]
+    for row in rec.estimates:
+        if row.label.startswith(tuple(diagonal)) and row.label.endswith(" im"):
+            assert (row.mean, row.stderr) == (0.0, 0.0), row.label
 
 
 def test_trace_runner_rejects_excessive_power():
