@@ -844,7 +844,14 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
                 f"mean={row.mean:.5f} bound={bound:.5f}",
             )
         )
-        checks.append(_z_check(f"quadrature z-score eps={eps:g}", row.z_score(reference)))
+        # Narrow pairs are rare, so a count is close to Poisson and its
+        # variance under the reference is about the reference itself.  That
+        # floor keeps a run that sees few or no pairs from dividing by a
+        # sample stderr that shrinks with them.
+        stderr = math.sqrt(max(row.stderr ** 2, reference / row.n))
+        checks.append(
+            _z_check(f"quadrature z-score eps={eps:g}", (row.mean - reference) / stderr)
+        )
     for eps in _EPS_GRID:
         if 2.0 * eps in quad:
             ratio = quad[2.0 * eps] / quad[eps]

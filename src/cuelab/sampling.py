@@ -234,8 +234,8 @@ def _gaussian_block(gen: np.random.Generator, sizes, n: int | None = None) -> li
     With ``n`` set, one ``standard_normal((n, total, 2))`` block gives each
     vector the shape (n, size), row i being the i-th of n consecutive
     single draws.  Each norm is two real dot products, as
-    ``np.linalg.norm`` forms it (``np.vecdot`` calls the same BLAS dot), so
-    a row is bit-equal to its single draw.
+    ``np.linalg.norm`` forms it (a stacked 1 x k by k x 1 ``matmul`` calls
+    the same BLAS dot), so a row is bit-equal to its single draw.
     """
     sizes = list(sizes)
     # (re, im) pairs, read in place as the complex entries
@@ -248,7 +248,7 @@ def _gaussian_block(gen: np.random.Generator, sizes, n: int | None = None) -> li
     squares = np.empty((len(sizes), len(z)))
     for k, part in enumerate(parts):
         v = raw[:, part].transpose(2, 0, 1)
-        re, im = np.vecdot(v, v)
+        re, im = (v[..., None, :] @ v[..., None])[..., 0, 0]
         np.add(re, im, out=squares[k])
     z /= np.repeat(np.sqrt(squares.T), sizes, axis=1)
     if n is None:

@@ -367,7 +367,7 @@ def test_10_carrier_wave_consistency():
 
 def test_11_reproducibility_across_worker_counts(tmp_path, monkeypatch):
     cases = [
-        (["gaps", "--dims", "8", "--samples", "8000", "--seed", "3", "--format", "json"], "g"),
+        (["gaps", "--dims", "8", "--samples", "600", "--seed", "3", "--format", "json"], "g"),
         (["moments", "--dims", "6", "--samples", "200", "--seed", "9", "--format", "csv"], "m"),
     ]
     for argv, tag in cases:

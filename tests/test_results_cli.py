@@ -216,7 +216,7 @@ def test_main_selftest_green(capsys):
 def test_main_writes_file_and_reports_checks(tmp_path, capsys):
     target = tmp_path / "gaps.json"
     code = main(
-        ["gaps", "--dims", "8", "--samples", "8000", "--seed", "3", "--format", "json", "--out", str(target)]
+        ["gaps", "--dims", "8", "--samples", "24", "--seed", "3", "--format", "json", "--out", str(target)]
     )
     out, err = capsys.readouterr()
     assert code == 0
@@ -248,7 +248,7 @@ def test_main_maps_linalg_error_to_exit_one(monkeypatch, capsys):
 
 
 def test_main_same_seed_same_bytes_any_worker_count(tmp_path, monkeypatch):
-    argv = ["gaps", "--dims", "8", "--samples", "8000", "--seed", "3", "--format", "json"]
+    argv = ["gaps", "--dims", "8", "--samples", "600", "--seed", "3", "--format", "json"]
     paths = []
     for workers, name in [("1", "a.json"), ("2", "b.json")]:
         monkeypatch.setenv("CUELAB_WORKERS", workers)
