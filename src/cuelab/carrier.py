@@ -140,7 +140,11 @@ def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
     Minimizes the summed endpoint increments of Im log Z over the
     subdivision — sum over spectra and subintervals of
     |Im log Z(theta_k + (1 - sqrt(delta)) Delta) - Im log Z(theta_k + sqrt(delta) Delta)| —
-    an empirical surrogate for the averaged form that defines theta0.
+    an empirical surrogate for the averaged form that defines theta0.  Each
+    increment is pi |#{angles in [lo, hi)} - N (hi - lo)/2pi|, so the scan
+    only counts; equal counts tie exactly (``math.fsum``), and ties go to
+    the lowest candidate.  The default delta, nextafter(1/4, 0) for
+    N < e^(2.6e6), leaves empty arcs ~1e-16 Delta wide: all tie, theta0 = 0.
     """
     big_delta = TWO_PI / k_div
     candidates = np.arange(_THETA0_CANDIDATES) * (big_delta / _THETA0_CANDIDATES)
@@ -148,11 +152,13 @@ def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
     lo = math.sqrt(delta) * big_delta
     hi = (1.0 - math.sqrt(delta)) * big_delta
     # ends[e, c, k]: endpoint e (0 = lo, 1 = hi) of subinterval k for
-    # candidate c; im[j, e, c, k] is Im log Z of spectrum j there.
+    # candidate c; below[j, e, c, k] counts the angles of spectrum j under it.
     base = candidates[:, None] + offsets[None, :]
-    ends = np.stack([base + lo, base + hi])
-    _, im = log_z_grid(ens.angles, ends)
-    scores = np.sum(np.sum(np.abs(im[:, 1] - im[:, 0]), axis=2), axis=0)
+    ends = np.mod(np.stack([base + lo, base + hi]), TWO_PI)
+    below = np.stack([np.searchsorted(row, ends) for row in ens.angles])
+    inside = below[:, 1] - below[:, 0] + ens.dim * (ends[1] < ends[0])
+    deviations = np.abs(inside - ens.dim * (hi - lo) / TWO_PI).swapaxes(0, 1)
+    scores = [math.fsum(row.ravel()) for row in deviations]
     return float(candidates[int(np.argmin(scores))])
 
 
@@ -168,7 +174,7 @@ def subdivision(
     clamped into the invariant ranges 2 <= K <= N/2 and delta < 1/4 (at
     practical N the nominal values overshoot both).  With an ensemble
     supplied, theta0 is chosen by the empirical 64-candidate scan;
-    otherwise theta0 = 0.
+    otherwise theta0 = 0, as the scan also gives at the default delta.
     """
     if not isinstance(n_dim, (int, np.integer)) or n_dim < 4:
         raise InvalidConfigError(f"subdivision requires integer N >= 4, got {n_dim!r}")

@@ -12,7 +12,9 @@ all its brackets level by level (one kernel call per bisection level), and
 an independent oracle: companion-matrix roots of the polynomial whose
 coefficients come from an FFT of F sampled on the circle.  Both routes take
 every Z_j from :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G
-and F stay finite at any N.
+and F stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
+with c_j = #{theta_jk < theta}, term j of G has the sign of
+b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.
 """
 
 from __future__ import annotations

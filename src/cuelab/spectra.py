@@ -13,9 +13,11 @@ the reflection-chain evaluation of log Z(0).
 
 :func:`log_z_grid` is the one kernel that evaluates this sum over
 (eigenangles x points), for one spectrum or a stack of them; every value of
-Z or log Z on the circle that starts from eigenangles comes from it.  Z
-itself is only ever formed as exp(log Z), so no partial product can
-overflow at large N.
+Z or log Z on the circle that starts from eigenangles comes from it.  It
+wraps no (angle, point) difference: log|Z| is a sum of log|2 sin| of raw
+half-differences, accurate next to an eigenangle, and Im log Z is a closed
+form plus pi times an eigenangle count.  Z itself is only ever formed as
+exp(log Z), so no partial product can overflow at large N.
 
 :func:`log_z_verblunsky` reaches the same branch of log Z without any
 eigenangles, from the Verblunsky coefficients of the spectral measure
@@ -162,23 +164,37 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(Re log Z, Im log Z) of every spectrum in ``angles`` at every theta.
 
     ``angles`` holds one spectrum's eigenangles, shape (N,), or a stack of
-    them, shape (n, N); the results have shape
-    ``angles.shape[:-1] + np.shape(thetas)``.  With v = (theta_k - t) mod 2pi,
-    Re = sum log|2 sin(v/2)|, which is -inf on an eigenangle (no warning),
-    and Im = sum (v - pi)/2.  The points are walked in blocks so that no
-    temporary holds more than 2^18 elements.
+    them, shape (n, N), in any order; the results have shape
+    ``angles.shape[:-1] + np.shape(thetas)``.  Angles and points are reduced
+    mod 2pi once each.  With d_k = theta_k - t, Re = sum log|2 sin(d_k/2)|
+    (2pi-periodic, so no d_k is wrapped) is -inf on an eigenangle (no
+    warning); next to one, d_k is exact (Sterbenz), so Re keeps its relative
+    accuracy, and across the 0/2pi seam d_k is as good as the float 2pi
+    (about 2.4e-16).  Wrapping adds 2pi to exactly the negative d_k, so
+    Im = sum (d_k mod 2pi - pi)/2 = (sum theta_k - N (t + pi))/2 +
+    pi #{d_k < 0}, counted in the same pass.  The points are walked in
+    blocks so that no temporary holds more than 2^18 elements.
     """
     angles = np.asarray(angles, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
-    points = thetas.ravel()
-    re = np.empty(angles.shape[:-1] + points.shape)
-    im = np.empty_like(re)
+    n_dim = angles.shape[-1]
+    # halving is exact, so half differences keep every Sterbenz-exact digit
+    half_angles = 0.5 * np.mod(angles, TWO_PI)
+    half_points = 0.5 * np.mod(thetas.ravel(), TWO_PI)
+    re = np.empty(angles.shape[:-1] + half_points.shape)
+    below = np.empty(re.shape, dtype=np.intp)
     step = max(1, _GRID_BLOCK // max(1, angles.size))
     with np.errstate(divide="ignore"):
-        for lo in range(0, len(points), step):
-            v = np.mod(angles[..., :, None] - points[lo:lo + step], TWO_PI)
-            re[..., lo:lo + step] = np.sum(np.log(np.abs(2.0 * np.sin(0.5 * v))), axis=-2)
-            im[..., lo:lo + step] = np.sum(0.5 * (v - np.pi), axis=-2)
+        for lo in range(0, len(half_points), step):
+            d = half_angles[..., :, None] - half_points[lo:lo + step]
+            np.add.reduce(d < 0.0, axis=-2, out=below[..., lo:lo + step])
+            np.sin(d, out=d)
+            np.abs(d, out=d)
+            np.log(d, out=d)
+            np.add.reduce(d, axis=-2, out=re[..., lo:lo + step])
+    re += n_dim * np.log(2.0)
+    im = np.pi * below
+    im += np.add.reduce(half_angles, axis=-1)[..., None] - n_dim * (half_points + 0.5 * np.pi)
     shape = angles.shape[:-1] + thetas.shape
     return re.reshape(shape), im.reshape(shape)
 
@@ -259,7 +275,7 @@ def _check_regular(angles, t) -> None:
     t may be one point or an array of points.
     """
     points = np.ravel(t)
-    v = np.mod(np.asarray(angles)[..., None] - points, TWO_PI)
+    v = np.abs(np.mod(angles, TWO_PI)[..., None] - np.mod(points, TWO_PI))
     near = np.minimum(v, TWO_PI - v) < _SINGULAR_TOL
     if np.any(near):
         bad = float(points[np.nonzero(near)[-1][0]])
@@ -267,10 +283,9 @@ def _check_regular(angles, t) -> None:
 
 
 def log_z(spec: EigenangleSpectrum, t: float) -> LogZ:
-    """log Z(t) as the sum of per-factor principal branches.
+    """log Z(t) as the sum of per-factor principal branches (see log_z_grid).
 
-    Per factor, v = (theta_j - t) mod 2pi in (0, 2pi) gives
-    log(1 - e^{iv}) = log(2 sin(v/2)) + i (v - pi)/2.
+    Raises SingularPointError within 1e-12 of an eigenangle.
     """
     t = float(t)
     _check_regular(spec.angles, t)
@@ -286,19 +301,16 @@ def arc_count_value(spec: EigenangleSpectrum, s: float, t: float) -> float:
     t > 2pi describing an arc that wraps through 0 (the length term keeps
     the unwrapped value while the Im terms use the reduced positions).
     """
-    ends = np.array([s % TWO_PI, t % TWO_PI])
-    for end in ends:
-        _check_regular(spec.angles, float(end))
-    _, im = log_z_grid(spec.angles, ends)
+    _check_regular(spec.angles, (s, t))
+    _, im = log_z_grid(spec.angles, (s, t))
     return float((spec.dim / TWO_PI) * (t - s) + (im[1] - im[0]) / np.pi)
 
 
 def count_in_arc(spec: EigenangleSpectrum, s: float, t: float) -> int:
     """Number of eigenangles in the open arc (s, t), 0 <= s < t < 2pi.
 
-    Computed from the counting identity, not by direct comparison; the
-    rounded value is exact whenever the formula's residual is below 1e-6,
-    which tests verify against brute-force counting.
+    Computed from the counting identity, which the kernel's count-based
+    Im log Z makes arithmetic; tests check it against brute-force counting.
     """
     s, t = float(s), float(t)
     if not (0.0 <= s < t < TWO_PI):
@@ -315,7 +327,6 @@ def count_in_circular_arc(spec: EigenangleSpectrum, start: float, length: float)
     start, length = float(start), float(length)
     if not (0.0 < length < TWO_PI):
         raise InvalidArgumentError(f"arc length must be in (0, 2pi), got {length}")
-    start = start % TWO_PI
     return int(round(arc_count_value(spec, start, start + length)))
 
 

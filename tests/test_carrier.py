@@ -1,5 +1,6 @@
 """Circle subdivision, exceptional sets, carrier indices, and narrow gaps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -57,6 +58,53 @@ def test_subdivision_scan_picks_theta0_inside_first_window():
     ens = su_ensemble(2, 16, salt=1)
     cfg = subdivision(16, delta=0.2, ens=ens)
     assert 0.0 <= cfg.theta0 < cfg.Delta
+
+
+def brute_force_theta0(ens, k_div, delta):
+    # the scan from its definition: per candidate, spectrum and subinterval,
+    # |#angles in [lo, hi) - N (hi - lo)/2pi| by direct comparison; the
+    # lowest candidate wins a tie
+    big = 2 * np.pi / k_div
+    candidates = np.arange(64) * (big / 64)
+    lo, hi = np.sqrt(delta) * big, (1.0 - np.sqrt(delta)) * big
+    mean = ens.dim * (hi - lo) / (2 * np.pi)
+    scores = []
+    for c in candidates:
+        deviations = []
+        for k in range(k_div):
+            a, b = np.mod(c + k * big + lo, 2 * np.pi), np.mod(c + k * big + hi, 2 * np.pi)
+            for angles in ens.angles:
+                inside = (angles >= a) & (angles < b) if a <= b else (angles >= a) | (angles < b)
+                deviations.append(abs(int(np.count_nonzero(inside)) - mean))
+        scores.append(math.fsum(deviations))
+    return float(candidates[scores.index(min(scores))])
+
+
+def test_subdivision_scan_equals_brute_force_count():
+    for salt in range(2, 6):
+        ens = su_ensemble(3, 64, salt=salt)
+        cfg = subdivision(64, delta=0.05, ens=ens)
+        assert cfg.theta0 == brute_force_theta0(ens, cfg.K, 0.05)
+
+
+def test_subdivision_scan_at_default_delta_is_a_tie_at_zero():
+    # the default delta is nextafter(1/4, 0): the scanned arcs are about
+    # 1e-16 Delta wide and hold no angle, so every candidate ties
+    for salt in range(6, 12):
+        ens = su_ensemble(3, 64, salt=salt)
+        assert subdivision(64, ens=ens).theta0 == 0.0
+
+
+def test_subdivision_scan_ignores_rounding_sized_moves():
+    for salt in range(2, 6):
+        ens = su_ensemble(3, 64, salt=salt)
+        moved = CombinationEnsemble(
+            ens.coefficients,
+            [EigenangleSpectrum(spec.angles + 1e-15, spec.det_phase) for spec in ens.spectra],
+        )
+        for delta in (0.05, 0.2):
+            theta0 = subdivision(64, delta=delta, ens=ens).theta0
+            assert subdivision(64, delta=delta, ens=moved).theta0 == theta0
 
 
 def test_subdivision_rejects_bad_parameters():

@@ -230,6 +230,51 @@ def test_sign_changes_matches_recursive_reference():
                 assert sign_changes(ens, grid_factor, max_refine) == expected
 
 
+def pinned_ensembles(n_dim, count=200):
+    g = RngStream(SEED, n_dim).generator()
+    for _ in range(count):
+        specs = [eigenangles(haar_special_unitary(n_dim, 0.0, g)[0]) for _ in range(2)]
+        coeffs = g.uniform(0.5, 2.0, size=2) * g.choice([-1.0, 1.0], size=2)
+        yield CombinationEnsemble(coeffs, specs)
+
+
+# sign_changes of pinned_ensembles(N), taken when the kernel still wrapped
+# every (angle, point) difference mod 2pi; a count that moves must be shown
+# to equal the root oracle's count for its ensemble.
+PINNED_SIGN_CHANGES = {
+    16: [
+        12, 14, 14, 16, 14, 14, 14, 12, 14, 10, 8, 14, 16, 16, 14, 14, 10, 16, 10, 10, 10,
+        14, 16, 10, 12, 14, 10, 14, 12, 16, 12, 8, 16, 16, 16, 10, 16, 14, 16, 14, 14, 16,
+        10, 8, 14, 12, 12, 16, 12, 14, 12, 12, 12, 16, 12, 12, 16, 10, 12, 10, 12, 14, 14,
+        16, 14, 14, 16, 10, 16, 16, 16, 14, 10, 16, 16, 12, 12, 16, 14, 10, 14, 16, 16, 14,
+        14, 16, 12, 10, 14, 10, 16, 8, 10, 14, 14, 12, 12, 8, 16, 16, 10, 14, 14, 14, 12,
+        10, 8, 12, 14, 14, 10, 12, 14, 14, 10, 14, 10, 10, 16, 14, 16, 16, 12, 14, 12, 14,
+        12, 10, 10, 12, 16, 14, 14, 12, 14, 12, 12, 14, 16, 10, 14, 12, 16, 14, 16, 14, 12,
+        10, 16, 14, 12, 14, 12, 10, 14, 12, 12, 16, 16, 12, 14, 14, 16, 16, 16, 16, 16, 14,
+        14, 10, 14, 16, 12, 8, 12, 12, 12, 8, 14, 16, 10, 14, 16, 10, 16, 10, 12, 16, 12,
+        16, 10, 14, 16, 16, 10, 12, 14, 16, 12, 14,
+    ],
+    64: [
+        62, 54, 56, 48, 56, 56, 48, 56, 58, 56, 58, 56, 62, 50, 54, 60, 56, 52, 54, 54, 56,
+        58, 54, 56, 54, 54, 62, 60, 56, 60, 60, 58, 56, 60, 54, 48, 60, 56, 62, 50, 48, 46,
+        60, 60, 52, 58, 50, 40, 56, 62, 50, 58, 58, 60, 58, 48, 56, 58, 60, 52, 62, 52, 60,
+        46, 58, 58, 42, 46, 50, 54, 50, 54, 54, 52, 54, 56, 50, 48, 56, 52, 54, 54, 52, 54,
+        62, 58, 56, 46, 58, 62, 54, 60, 58, 56, 56, 44, 60, 48, 44, 60, 60, 58, 50, 54, 44,
+        62, 58, 42, 54, 52, 50, 64, 48, 52, 58, 52, 56, 42, 60, 52, 58, 52, 60, 48, 38, 60,
+        52, 56, 56, 60, 52, 60, 52, 58, 46, 60, 56, 46, 56, 54, 58, 56, 56, 60, 56, 54, 62,
+        64, 56, 52, 56, 56, 56, 54, 50, 52, 54, 56, 56, 56, 54, 56, 50, 60, 54, 50, 52, 52,
+        60, 52, 52, 56, 50, 48, 50, 58, 50, 42, 50, 50, 46, 50, 52, 58, 56, 48, 50, 52, 62,
+        60, 48, 52, 54, 46, 48, 60, 58, 62, 52, 40,
+    ],
+}
+
+
+@pytest.mark.parametrize("n_dim", [16, 64])
+def test_sign_changes_counts_are_pinned(n_dim):
+    counts = [sign_changes(ens) for ens in pinned_ensembles(n_dim)]
+    assert counts == PINNED_SIGN_CHANGES[n_dim]
+
+
 def test_sign_changes_is_level_synchronous(monkeypatch):
     calls = []
 

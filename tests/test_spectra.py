@@ -106,6 +106,63 @@ def test_log_z_grid_matches_log_z_on_stacked_spectra():
     assert np.isfinite(re[0, 0]) and np.all(np.isfinite(im))
 
 
+def wrapped_grid(angles, thetas):
+    # the per-element form: every (angle, point) difference wrapped mod 2pi
+    v = np.mod(np.asarray(angles)[..., :, None] - np.ravel(thetas), 2 * np.pi)
+    with np.errstate(divide="ignore"):
+        re = np.sum(np.log(np.abs(2.0 * np.sin(0.5 * v))), axis=-2)
+    im = np.sum(0.5 * (v - np.pi), axis=-2)
+    shape = np.shape(angles)[:-1] + np.shape(thetas)
+    return re.reshape(shape), im.reshape(shape)
+
+
+def test_log_z_grid_keeps_relative_accuracy_next_to_an_eigenangle():
+    # t - theta is exact this close (Sterbenz), so log|Z| must be too, on
+    # both sides of the angle
+    for theta in (0.7, 2.0, 3.9, 5.5):
+        for d in (1e-6, 1e-9, 1e-12):
+            for t in (theta - d, theta + d):
+                expected = np.log(2.0 * np.sin(abs(t - theta) / 2.0))
+                re, _ = log_z_grid(np.array([theta]), t)
+                assert abs(re - expected) <= 1e-12 * abs(expected)
+    angles = np.stack([eigenangles(sample(64, salt)[0]).angles for salt in (20, 21)])
+    for d in (1e-6, 1e-9, 1e-12):
+        # points just either side of angles 10 and 40 of each row
+        thetas = angles[:, [10, 40], None] + np.array([-d, d])
+        re, _ = log_z_grid(angles, thetas)
+        for j in range(2):
+            # re[j, j]: spectrum j at the points next to its own angles
+            per_angle = np.log(2.0 * np.sin(np.abs(thetas[j][..., None] - angles[j]) / 2.0))
+            expected = np.sum(per_angle, axis=-1)
+            assert np.all(np.abs(re[j, j] - expected) <= 1e-12 * np.abs(expected))
+
+
+def test_log_z_grid_contract_on_any_branch_order_and_shape():
+    g = RngStream(SEED, 22).generator()
+    angles = np.stack([eigenangles(sample(11, salt)[0]).angles for salt in (23, 24, 25)])
+    # rows unsorted, and some angles moved by +-2pi
+    shifted = g.permuted(angles, axis=1) + 2 * np.pi * g.integers(-1, 2, angles.shape)
+    thetas = g.uniform(-9.0, 16.0, (40, 5))
+    assert np.any(thetas < 0.0) and np.any(thetas >= 2 * np.pi)
+    # compare at points at least 1e-3 (circularly) from every angle
+    gap = np.abs(np.mod(angles[..., None, None] - thetas + np.pi, 2 * np.pi) - np.pi)
+    away = np.all(gap >= 1e-3, axis=(0, 1))
+    scalar = float(thetas[away][0])
+    for a in (shifted, shifted[1]):
+        for t, keep in ((thetas, away), (scalar, True)):
+            re, im = log_z_grid(a, t)
+            ref_re, ref_im = wrapped_grid(a, t)
+            assert re.shape == im.shape == a.shape[:-1] + np.shape(t)
+            np.testing.assert_allclose(re[..., keep], ref_re[..., keep], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(im[..., keep], ref_im[..., keep], rtol=0.0, atol=1e-12)
+    on_angle = np.array([[angles[2, 5], 1.0], [2.0, angles[0, 7]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        re, im = log_z_grid(angles, on_angle)
+    assert re[2, 0, 0] == re[0, 1, 1] == -np.inf
+    assert np.all(np.isfinite(im))
+
+
 def test_log_z_imaginary_part_bounded_by_n_half_pi():
     # each factor contributes a phase in (-pi/2, pi/2)
     u, _ = sample(8, 3)
