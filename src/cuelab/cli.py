@@ -18,51 +18,54 @@ from .results import emit
 
 __all__ = ["parse_cli", "main"]
 
-_HELP = {
-    "fraction": "mean fraction of combination zeros on the unit circle",
-    "moments": "joint moment formula of log Z(0) vs Monte Carlo",
-    "traces": "trace covariance formula and sampler cross-check",
-    "clt": "KS distance of normalized log|Z| from the standard normal",
-    "tails": "tail and concentration probabilities of log Z",
-    "oscillation": "second moment of log Z increments vs the exact series",
-    "gaps": "narrow eigenangle gap counts vs bound and quadrature",
-    "carrier": "carrier-wave diagnostics and the per-sample lower bound",
-    "selftest": "fast battery of exact identities",
+def _comma_list(kind):
+    """An argparse type: comma-separated ``kind`` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(part) for part in text.split(",") if part.strip() != "")
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # named in argparse's error
+    return parse
+
+
+_OPTIONS = {
+    "--dims": dict(type=_comma_list(int), help="comma-separated matrix sizes"),
+    "--coeffs": dict(type=_comma_list(float), dest="coefficients", metavar="COEFFS",
+                     help="comma-separated nonzero combination coefficients"),
+    "--n-matrices": dict(type=int, help="number of matrices (must match --coeffs when both given)"),
+    "--grid-factor": dict(type=int, help="sign-scan nodes per unit dimension"),
+    "--delta": dict(type=float, help="exceptional-set parameter in (0, 1/4)"),
+    "--subdivisions": dict(type=int, help="number K of circle subintervals"),
+    "--samples": dict(type=int, help="Monte Carlo samples per N"),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--format": dict(choices=("csv", "json"), help="output serialization"),
+    "--out": dict(help="output file path"),
 }
+_SHARED = ("--samples", "--seed", "--format", "--out")
+_COMBINATION = ("--dims", "--coeffs", "--n-matrices", "--grid-factor")
 
-_DEFAULTS = {
-    "fraction": {"dims": (8, 16), "samples": 200, "coeffs": (1.0, 1.0)},
-    "moments": {"dims": (8,), "samples": 20000, "coeffs": (1.0,)},
-    "traces": {"dims": (8,), "samples": 20000, "coeffs": (1.0,)},
-    "clt": {"dims": (64,), "samples": 10000, "coeffs": (1.0,)},
-    "tails": {"dims": (128,), "samples": 2000, "coeffs": (1.0,)},
-    "oscillation": {"dims": (64,), "samples": 2000, "coeffs": (1.0,)},
-    "gaps": {"dims": (32,), "samples": 2000, "coeffs": (1.0,)},
-    "carrier": {"dims": (64,), "samples": 50, "coeffs": (1.0, 1.0)},
-    "selftest": {"dims": (8,), "samples": 50, "coeffs": (1.0,)},
+# Per subcommand: its help line, its own defaults, and the options its
+# runner reads besides _SHARED.  Every other default is ExperimentConfig's:
+# an option left off the command line is not passed on.
+_COMMANDS = {
+    "fraction": ("mean fraction of combination zeros on the unit circle",
+                 {"dims": (8, 16), "samples": 200}, _COMBINATION),
+    "moments": ("joint moment formula of log Z(0) vs Monte Carlo",
+                {"dims": (8,), "samples": 20000}, ("--dims",)),
+    "traces": ("trace covariance formula and sampler cross-check",
+               {"dims": (8,), "samples": 20000}, ("--dims",)),
+    "clt": ("KS distance of normalized log|Z| from the standard normal",
+            {"dims": (64,), "samples": 10000}, ("--dims",)),
+    "tails": ("tail and concentration probabilities of log Z",
+              {"dims": (128,), "samples": 2000}, ("--dims",)),
+    "oscillation": ("second moment of log Z increments vs the exact series",
+                    {"dims": (64,), "samples": 2000}, ("--dims",)),
+    "gaps": ("narrow eigenangle gap counts vs bound and quadrature",
+             {"dims": (32,), "samples": 2000}, ("--dims",)),
+    "carrier": ("carrier-wave diagnostics and the per-sample lower bound",
+                {"dims": (64,), "samples": 50}, (*_COMBINATION, "--delta", "--subdivisions")),
+    "selftest": ("fast battery of exact identities", {"samples": 50}, ()),
 }
-
-
-def _dims_argument(text: str) -> tuple:
-    try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"dims must be integers, got {text!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive, got {text!r}")
-    return dims
-
-
-def _coeffs_argument(text: str) -> tuple:
-    try:
-        coeffs = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"coefficients must be numbers, got {text!r}") from None
-    if not coeffs:
-        raise argparse.ArgumentTypeError("at least one coefficient is required")
-    if any(b == 0.0 for b in coeffs):
-        raise argparse.ArgumentTypeError("coefficients must be nonzero")
-    return coeffs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,59 +75,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "characteristic-polynomial combinations on the unit circle.",
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
-    for name, runner_defaults in _DEFAULTS.items():
-        sub = commands.add_parser(name, help=_HELP[name])
-        sub.add_argument("--dims", type=_dims_argument, default=runner_defaults["dims"],
-                         help="comma-separated matrix sizes")
-        sub.add_argument("--coeffs", type=_coeffs_argument, default=None,
-                         help="comma-separated nonzero combination coefficients")
-        sub.add_argument("--n-matrices", type=int, default=None,
-                         help="number of matrices (must match --coeffs when both given)")
-        sub.add_argument("--samples", type=int, default=runner_defaults["samples"],
-                         help="Monte Carlo samples per N")
-        sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        sub.add_argument("--grid-factor", type=int, default=8,
-                         help="sign-scan nodes per unit dimension")
-        sub.add_argument("--delta", type=float, default=None,
-                         help="exceptional-set parameter in (0, 1/4)")
-        sub.add_argument("--subdivisions", type=int, default=None,
-                         help="number K of circle subintervals")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                         help="output serialization")
-        sub.add_argument("--out", default=None, help="output file path")
+    for name, (text, defaults, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag in (*options, *_SHARED):
+            sub.add_argument(flag, **_OPTIONS[flag])
+        sub.set_defaults(**defaults)
     return parser
 
 
 def parse_cli(argv) -> ExperimentConfig:
     """Parse CLI arguments into a validated ExperimentConfig."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    if command is None:
         parser.error("a subcommand is required")
-    if args.coeffs is None:
+    n_matrices = args.pop("n_matrices", None)
+    if n_matrices is not None:
         # --n-matrices alone means "n unit coefficients".
-        if args.n_matrices is not None:
-            args.coeffs = (1.0,) * args.n_matrices
-        else:
-            args.coeffs = _DEFAULTS[args.command]["coeffs"]
-    elif args.n_matrices is not None and args.n_matrices != len(args.coeffs):
-        parser.error(
-            f"--n-matrices {args.n_matrices} disagrees with "
-            f"{len(args.coeffs)} coefficients"
-        )
+        coeffs = args.setdefault("coefficients", (1.0,) * n_matrices)
+        if n_matrices != len(coeffs):
+            parser.error(f"--n-matrices {n_matrices} disagrees with {len(coeffs)} coefficients")
     try:
-        return ExperimentConfig(
-            experiment=args.command,
-            dims=args.dims,
-            coefficients=args.coeffs,
-            samples=args.samples,
-            seed=args.seed,
-            grid_factor=args.grid_factor,
-            delta=args.delta,
-            subdivisions=args.subdivisions,
-            format=args.format,
-            out=args.out,
-        )
+        return ExperimentConfig(experiment=command, **args)
     except InvalidConfigError as exc:
         parser.error(str(exc))
 

@@ -54,7 +54,6 @@ from .spectra import (
     _SINGULAR_TOL,
     _check_regular,
     _szego,
-    count_in_circular_arc,
     eigenangles,
     log_z_from_chain,
     log_z_verblunsky,
@@ -118,7 +117,9 @@ class ExperimentConfig:
     ``experiment`` names a runner of ``_RUNNERS``.  ``coefficients`` holds
     the b_j of the linear combination (all nonzero), and the read-only
     ``n_matrices`` is their count.  ``traces``, ``gaps`` and ``carrier``
-    take exactly one N in ``dims``.
+    take exactly one N in ``dims``.  The CLI passes only the options given
+    on its command line, so these defaults are its defaults too, except
+    for each subcommand's dims and samples.
     """
 
     experiment: str
@@ -692,6 +693,10 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
     assert the monotone structure only.
     """
     started = time.time()
+    if min(cfg.dims) < 2:
+        raise InvalidConfigError(
+            f"tails runs scale by sqrt(log N) and need N >= 2, got N={min(cfg.dims)}"
+        )
     rows, checks = [], []
     jobs = []
     for group, dim in enumerate(cfg.dims):
@@ -827,6 +832,8 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     """
     started = time.time()
     dim = _one_dim(cfg)
+    if dim < 2:
+        raise InvalidConfigError(f"gaps runs need N >= 2 angles to pair, got N={dim}")
     (data,) = _collect(cfg, [(_sample_gaps, 0, dim, _block_rows(dim * dim, _BLOCK_ENTRIES))])
     rows, checks = [], []
     quad = {}
@@ -918,11 +925,10 @@ def _sample_carrier(gen, _count, payload):
         base = float(bases[kk])
         arc = config.Delta - float(offsets[first[kk]])
         spec = ens.spectra[carriers[kk, 8 + first[kk]] - 1]
-        nu = count_in_circular_arc(spec, base, arc)
         relative = np.sort(np.mod(spec.angles - base, TWO_PI))
         inside = relative[relative < arc]
         psi = int(np.count_nonzero(np.diff(inside) <= threshold)) if inside.size > 1 else 0
-        bound += max(0, nu - 2 - 2 * psi)
+        bound += max(0, inside.size - 2 - 2 * psi)
     try:
         measured = sign_changes(ens, grid_factor=grid_factor)
     except DegenerateCombinationError:
@@ -941,6 +947,7 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     """
     started = time.time()
     dim = _one_dim(cfg)
+    subdivision(dim, cfg.subdivisions, cfg.delta)  # rejects N < 4 and K out of range
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
     (data,) = _collect(cfg, [(_sample_carrier, 0, payload, 1)])
     kept, excluded = _drop_degenerate(data, dim)

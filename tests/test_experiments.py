@@ -98,7 +98,12 @@ def test_config_n_matrices_defaults_to_coefficient_count():
     assert cfg.n_matrices == 3
 
 
-def test_runner_preconditions():
+def test_runner_preconditions(monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("sampled before the precondition check")
+
+    for sampler in ("haar_unitary", "haar_special_unitary", "haar_verblunsky"):
+        monkeypatch.setattr(experiments, sampler, no_draws)
     with pytest.raises(InvalidConfigError):
         run_clt_check(ExperimentConfig(experiment="clt", dims=(32,), samples=100, seed=1))
     with pytest.raises(InvalidConfigError):
@@ -109,6 +114,18 @@ def test_runner_preconditions():
         run_oscillation_check(
             ExperimentConfig(experiment="oscillation", dims=(8,), samples=100, seed=1, mu=100.0)
         )
+    # one angle has no gap and no sqrt(log N) scale; the carrier subdivision
+    # needs N >= 4 and 2 <= K <= N/2
+    for argv, message in [
+        (["gaps", "--dims", "1"], "gaps runs need N >= 2"),
+        (["tails", "--dims", "8,1"], "tails runs scale by sqrt(log N) and need N >= 2"),
+        (["carrier", "--dims", "3"], "subdivision requires integer N >= 4"),
+        (["carrier", "--dims", "64", "--subdivisions", "40"], "K must satisfy 2 <= K <= N/2"),
+    ]:
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            cli._RUNNERS[argv[0]](cli.parse_cli([*argv, "--samples", "10"]))
+        assert cli_main([*argv, "--samples", "10"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_single_dim_runners_reject_several_dims(monkeypatch, capsys):
@@ -300,12 +317,14 @@ def test_one_spawn_pool_per_runner_call(monkeypatch):
 
 
 def test_worker_error_propagates_unchanged(monkeypatch, capsys):
-    # the carrier subdivision needs N >= 4; the sample function rejects N = 2
+    # the carrier subdivision needs N >= 4; the sample function rejects N = 2.
+    # The runner checks that before any draw, so the blocks are collected here.
     raised = []
+    job = (experiments._sample_carrier, 0, (2, (1.0, 1.0), None, None, 8), 1)
     for workers in (1, 2):
         cfg = ExperimentConfig(experiment="carrier", dims=(2,), samples=40, seed=1, workers=workers)
         with pytest.raises(CuelabError) as info:
-            run_carrier_diagnostics(cfg)
+            experiments._collect(cfg, [job])
         raised.append(info.type)
         # the failing sample is named by its stream: replayable in isolation
         assert re.fullmatch(

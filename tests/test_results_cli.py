@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -166,10 +167,35 @@ def test_parse_n_matrices_without_coeffs_uses_unit_coefficients():
     assert cfg.n_matrices == 3
 
 
-def test_parse_defaults_differ_per_subcommand():
-    assert parse_cli(["clt"]).dims == (64,)
-    assert parse_cli(["moments"]).dims == (8,)
-    assert parse_cli(["carrier"]).experiment == "carrier"
+# Per subcommand: the options its runner reads besides --samples, --seed,
+# --format and --out, and its default dims and samples.
+SUBCOMMANDS = {
+    "fraction": ("--dims --coeffs --n-matrices --grid-factor", (8, 16), 200),
+    "moments": ("--dims", (8,), 20000),
+    "traces": ("--dims", (8,), 20000),
+    "clt": ("--dims", (64,), 10000),
+    "tails": ("--dims", (128,), 2000),
+    "oscillation": ("--dims", (64,), 2000),
+    "gaps": ("--dims", (32,), 2000),
+    "carrier": ("--dims --coeffs --n-matrices --grid-factor --delta --subdivisions", (64,), 50),
+    "selftest": ("", (8,), 50),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_only_the_options_its_runner_reads(command, capsys):
+    assert set(SUBCOMMANDS) == set(cli._RUNNERS)
+    own, dims, samples = SUBCOMMANDS[command]
+    with pytest.raises(SystemExit) as err:
+        parse_cli([command, "--help"])
+    assert err.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *own.split(), "--samples", "--seed", "--format", "--out"}
+    cfg = parse_cli([command])
+    assert (cfg.dims, cfg.samples, cfg.seed, cfg.grid_factor) == (dims, samples, 0, 8)
+    assert (cfg.delta, cfg.subdivisions, cfg.format, cfg.out) == (None, None, "csv", None)
+    if "--coeffs" in own:
+        assert cfg.coefficients == (1.0, 1.0)
 
 
 def test_parse_output_options(tmp_path):
@@ -191,6 +217,11 @@ def test_parse_output_options(tmp_path):
         ["fraction", "--coeffs", "1,0"],  # zero coefficient
         ["fraction", "--coeffs", "1,1", "--n-matrices", "3"],  # length mismatch
         ["moments", "--samples", "1"],  # too few samples
+        # an option the subcommand's runner does not read
+        ["moments", "--dims", "4", "--samples", "10", "--coeffs", "1,2"],
+        ["selftest", "--dims", "8,16", "--coeffs", "3", "--grid-factor", "2", "--delta", "0.1"],
+        ["gaps", "--grid-factor", "4"],
+        ["fraction", "--delta", "0.1"],
     ],
 )
 def test_usage_errors_exit_with_code_2(argv):
