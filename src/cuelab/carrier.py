@@ -144,13 +144,17 @@ def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
     increment is pi |#{angles in [lo, hi)} - N (hi - lo)/2pi|, so the scan
     only counts; equal counts tie exactly (``math.fsum``), and ties go to
     the lowest candidate.  The default delta, nextafter(1/4, 0) for
-    N < e^(2.6e6), leaves empty arcs ~1e-16 Delta wide: all tie, theta0 = 0.
+    N < e^(2.6e6), leaves arcs ~1e-16 Delta wide.  An arc no wider than the
+    float spacing at 2pi holds no angle short of an exact float
+    coincidence, so every candidate ties: the scan is skipped, theta0 = 0.
     """
     big_delta = TWO_PI / k_div
-    candidates = np.arange(_THETA0_CANDIDATES) * (big_delta / _THETA0_CANDIDATES)
-    offsets = np.arange(k_div) * big_delta
     lo = math.sqrt(delta) * big_delta
     hi = (1.0 - math.sqrt(delta)) * big_delta
+    if hi - lo <= np.spacing(TWO_PI):
+        return 0.0
+    candidates = np.arange(_THETA0_CANDIDATES) * (big_delta / _THETA0_CANDIDATES)
+    offsets = np.arange(k_div) * big_delta
     # ends[e, c, k]: endpoint e (0 = lo, 1 = hi) of subinterval k for
     # candidate c; below[j, e, c, k] counts the angles of spectrum j under it.
     base = candidates[:, None] + offsets[None, :]

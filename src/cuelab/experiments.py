@@ -11,7 +11,8 @@ sample is replayed by evaluating its block alone.  The log Z runners
 (``traces``, ``gaps``) take up to 256 rows per block, a number fixed by N
 alone (see ``_block_rows``).  A log Z block runs the Szego recursion over
 all its rows at once; a dense block draws its matrices as one stacked
-reflection product and takes their spectra with one ``eigvals`` call.
+reflection product and takes their certified spectra with one
+``eigenangles`` call (Cayley transform, ``eigh`` and Rayleigh quotients).
 ``fraction`` and ``carrier`` take one row per block, a stream per sample.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
@@ -56,6 +57,7 @@ from .spectra import (
     _szego,
     eigenangles,
     log_z_from_chain,
+    log_z_grid,
     log_z_verblunsky,
 )
 from .specfun import (
@@ -515,23 +517,24 @@ def _sample_traces(gen, count, dim) -> np.ndarray:
     """Trace products and log|Z(0)| of ``count`` draws from each sampler.
 
     The block draws its ``count`` reflection matrices and then its
-    ``count`` QR matrices; one ``eigvals`` call takes both stacks.  Each row
-    holds (re, im) of tr U^p conj(tr U^q) per pair, reflection first, then
-    log|Z(0)| from the reflection chain and from the QR eigenvalues.  The
-    parts are formed from real products, so im is exactly 0 when p = q
-    (numpy's stacked complex multiply leaves a rounding residue there).
+    ``count`` QR matrices; one :func:`eigenangles` call takes both stacks
+    and checks every row.  Each row holds (re, im) of tr U^p conj(tr U^q)
+    per pair, reflection first, then log|Z(0)| from the reflection chain
+    and from the QR eigenangles (:func:`log_z_grid`).  The parts are formed
+    from real products, so im is exactly 0 when p = q (numpy's stacked
+    complex multiply leaves a rounding residue there).
     """
     u, chain = haar_unitary(dim, gen, count)
     u_qr = haar_unitary_qr_oracle(dim, gen, count)
     columns = []
-    eigs = np.linalg.eigvals(np.stack([u, u_qr]))
-    for eig in eigs:
+    angles = eigenangles(np.concatenate([u, u_qr])).reshape(2, count, dim)
+    for eig in np.exp(1j * angles):
         traces = {p: np.sum(eig ** p, axis=-1) for p in _TRACE_POWERS}
         for p, q in _TRACE_PAIRS:
             a, b = traces[p], traces[q]
             columns += [a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag]
     columns.append(log_z_from_chain(chain).re)
-    columns.append(np.log(np.abs(np.prod(1.0 - eigs[1], axis=-1))))
+    columns.append(log_z_grid(angles[1], 0.0)[0])
     return np.column_stack(columns)
 
 

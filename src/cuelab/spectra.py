@@ -59,6 +59,13 @@ _SINGULAR_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
 # Most (angles x points) elements log_z_grid holds in one temporary array.
 _GRID_BLOCK = 1 << 18
+# eigenangles' first Cayley pole, pi + sqrt(2): generic, so that no
+# structured spectrum (+-1, +-i, roots of unity) sits on it.
+_POLE_ANGLE = np.pi + np.sqrt(2.0)
+# An angle closer than this to its pole moves the pole to the row's widest gap.
+_POLE_MARGIN = 1e-3
+# Largest entry of U V - V diag(r) that certifies a row's spectrum.
+_RESIDUAL_TOL = 1e-8
 
 
 def _wrap_angles(values: np.ndarray) -> np.ndarray:
@@ -124,39 +131,106 @@ class LogZ:
     im: float | np.ndarray
 
 
+def _cayley_rayleigh(stack: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh quotients and certificate residuals of a stack, row by pole.
+
+    For row i with pole angle a = poles[i] and c = e^{-ia},
+    H = i (I - cU)^{-1} (I + cU) is Hermitian when U is unitary, with U's
+    eigenvectors and the real eigenvalues -cot((theta_k - a)/2), which blow
+    up only as an eigenangle nears a.  ``eigh`` gives a unitary V; one
+    stacked matmul W = U V gives the quotients r = diag(V^H W) and the
+    residual max|W - V diag r| of each row.  A row whose solve is singular
+    (a is an eigenangle to rounding) gets NaN quotients and residual inf.
+    """
+    eye = np.eye(stack.shape[-1])
+    rhs = np.exp(-1j * poles)[:, None, None] * stack
+    lhs = eye - rhs
+    rhs += eye
+    rhs *= 1j
+    singular = np.zeros(len(stack), dtype=bool)
+    try:
+        h = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:  # a singular row sinks the stacked call
+        h = np.zeros_like(rhs)
+        for i in range(len(stack)):
+            try:
+                h[i] = np.linalg.solve(lhs[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    del lhs, rhs
+    try:
+        v = np.linalg.eigh(h)[1]
+    except np.linalg.LinAlgError as exc:  # non-convergence
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    del h
+    w = np.matmul(stack, v)
+    r = np.einsum("...ki,...ki->...i", v.conj(), w)
+    w -= v * r[:, None, :]
+    residual = np.max(np.abs(w), axis=(-2, -1))
+    r[singular] = np.nan
+    residual[singular] = np.inf
+    return r, residual
+
+
+def _widest_gap_middle(angles: np.ndarray) -> np.ndarray:
+    """The middle of each row's largest circular gap between sorted angles."""
+    gaps = np.diff(angles, axis=-1, append=angles[:, :1] + TWO_PI)
+    j = np.argmax(gaps, axis=-1)[:, None]
+    return (np.take_along_axis(angles, j, -1) + 0.5 * np.take_along_axis(gaps, j, -1))[:, 0]
+
+
 def eigenangles(u):
     """Extract the eigenangle spectrum of a unitary matrix, or of a stack.
 
     ``u`` is a UnitaryMatrix, giving an EigenangleSpectrum, or an array of
     n unitary matrices, shape (n, N, N), giving the (n, N) array of their
     sorted eigenangles: row i equals the angles of the single call on
-    matrix i.  One dense LAPACK ``eigvals`` call and one independent LU
-    factorization (``slogdet``) serve the whole stack, and every row is
-    checked: eigenvalue moduli within 1e-8 N of 1, and the angle sum equal
-    to the determinant phase within 1e-6 (mod 2pi).  A failing row raises
-    NumericalFailureError.
+    matrix i.  A unitary matrix is normal, so its spectrum comes from a
+    Hermitian eigensolver (see :func:`_cayley_rayleigh`): the Cayley
+    transform at the pole angle pi + sqrt(2), which no structured spectrum
+    (+-1, +-i, roots of unity) meets, one stacked ``eigh``, and the
+    eigenvalues read as Rayleigh quotients r_k = (V^H U V)_kk.  A row with
+    an angle within 1e-3 of its pole, where H's eigenvectors lose accuracy,
+    is redone with the pole in the middle of its largest angle gap; a row
+    whose solve is singular first moves its pole half a turn.  Every row is
+    checked, and a failing row raises NumericalFailureError:
+    max|UV - V diag r| <= 1e-8, a residual that for normal U and unitary V
+    bounds the distance of the whole angle multiset from the true one
+    (Hoffman-Wielandt); moduli of r within 1e-8 N of 1; and the angle sum
+    equal to the phase of an independent LU factorization (``slogdet``)
+    within 1e-6 (mod 2pi).
     """
     single = isinstance(u, UnitaryMatrix)
     stack = u.entries[None] if single else np.asarray(u, dtype=np.complex128)
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2] or stack.shape[-1] < 1:
         raise InvalidArgumentError(f"expected a stack of square matrices, got shape {stack.shape}")
-    try:
-        eigs = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:  # non-convergence
-        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    angles = np.sort(_wrap_angles(np.angle(eigs)), axis=-1)
+    poles = np.full(len(stack), _POLE_ANGLE)
+    r, residual = _cayley_rayleigh(stack, poles)
+    angles = np.sort(_wrap_angles(np.angle(r)), axis=-1)
+    # A second round serves only rows whose first solve was singular: their
+    # half-turn pole may sit next to another angle.
+    for _ in range(2):
+        d = np.abs(angles - np.mod(poles, TWO_PI)[:, None])
+        redo = np.flatnonzero(~(np.min(np.minimum(d, TWO_PI - d), axis=-1) >= _POLE_MARGIN))
+        if not redo.size:
+            break
+        middle = _widest_gap_middle(angles[redo])
+        poles[redo] = np.where(np.isnan(middle), poles[redo] + np.pi, middle)
+        r[redo], residual[redo] = _cayley_rayleigh(stack[redo], poles[redo])
+        angles[redo] = np.sort(_wrap_angles(np.angle(r[redo])), axis=-1)
     sign, _ = np.linalg.slogdet(stack)
     det_phase = np.mod(np.angle(sign), TWO_PI)
     checks = (
-        ("eigenvalue moduli deviate from 1", np.max(np.abs(np.abs(eigs) - 1.0), axis=-1),
+        ("eigenvector residual max|UV - V diag r| is", residual, _RESIDUAL_TOL),
+        ("eigenvalue moduli deviate from 1 by", np.max(np.abs(np.abs(r) - 1.0), axis=-1),
          1e-8 * stack.shape[-1]),
-        ("angle sum and det phase disagree", _phase_gap(angles, det_phase), 1e-6),
+        ("angle sum and det phase disagree by", _phase_gap(angles, det_phase), 1e-6),
     )
     for what, off, tol in checks:
-        bad = np.flatnonzero(off > tol)
+        bad = np.flatnonzero(~(off <= tol))
         if bad.size:
             where = "" if single else f" in row {bad[0]}"
-            raise NumericalFailureError(f"{what} by {off[bad[0]]:.3e}{where}")
+            raise NumericalFailureError(f"{what} {off[bad[0]]:.3e}{where}")
     return EigenangleSpectrum(angles[0], det_phase[0]) if single else angles
 
 

@@ -87,11 +87,16 @@ def test_subdivision_scan_equals_brute_force_count():
         assert cfg.theta0 == brute_force_theta0(ens, cfg.K, 0.05)
 
 
-def test_subdivision_scan_at_default_delta_is_a_tie_at_zero():
+def test_subdivision_scan_at_default_delta_is_a_tie_at_zero(monkeypatch):
     # the default delta is nextafter(1/4, 0): the scanned arcs are about
-    # 1e-16 Delta wide and hold no angle, so every candidate ties
-    for salt in range(6, 12):
-        ens = su_ensemble(3, 64, salt=salt)
+    # 1e-16 Delta wide, under the float spacing at 2pi, and hold no angle,
+    # so every candidate ties and the scan is skipped
+    ensembles = [su_ensemble(3, 64, salt=salt) for salt in range(6, 12)]
+    for ens in ensembles:
+        cfg = subdivision(64, ens=ens)
+        assert cfg.theta0 == brute_force_theta0(ens, cfg.K, cfg.delta) == 0.0
+    monkeypatch.setattr(np, "searchsorted", None)  # the scan's counting call
+    for ens in ensembles:
         assert subdivision(64, ens=ens).theta0 == 0.0
 
 

@@ -167,17 +167,18 @@ def test_parse_n_matrices_without_coeffs_uses_unit_coefficients():
     assert cfg.n_matrices == 3
 
 
-# Per subcommand: the options its runner reads besides --samples, --seed,
-# --format and --out, and its default dims and samples.
+# Per subcommand: the options its runner reads besides --seed, --format
+# and --out, and its default dims and samples (selftest echoes its samples
+# default but reads no --samples).
 SUBCOMMANDS = {
-    "fraction": ("--dims --coeffs --n-matrices --grid-factor", (8, 16), 200),
-    "moments": ("--dims", (8,), 20000),
-    "traces": ("--dims", (8,), 20000),
-    "clt": ("--dims", (64,), 10000),
-    "tails": ("--dims", (128,), 2000),
-    "oscillation": ("--dims", (64,), 2000),
-    "gaps": ("--dims", (32,), 2000),
-    "carrier": ("--dims --coeffs --n-matrices --grid-factor --delta --subdivisions", (64,), 50),
+    "fraction": ("--dims --samples --coeffs --n-matrices --grid-factor", (8, 16), 200),
+    "moments": ("--dims --samples", (8,), 20000),
+    "traces": ("--dims --samples", (8,), 20000),
+    "clt": ("--dims --samples", (64,), 10000),
+    "tails": ("--dims --samples", (128,), 2000),
+    "oscillation": ("--dims --samples", (64,), 2000),
+    "gaps": ("--dims --samples", (32,), 2000),
+    "carrier": ("--dims --samples --coeffs --n-matrices --grid-factor --delta --subdivisions", (64,), 50),
     "selftest": ("", (8,), 50),
 }
 
@@ -190,7 +191,7 @@ def test_each_subcommand_takes_only_the_options_its_runner_reads(command, capsys
         parse_cli([command, "--help"])
     assert err.value.code == 0
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
-    assert listed == {"--help", *own.split(), "--samples", "--seed", "--format", "--out"}
+    assert listed == {"--help", *own.split(), "--seed", "--format", "--out"}
     cfg = parse_cli([command])
     assert (cfg.dims, cfg.samples, cfg.seed, cfg.grid_factor) == (dims, samples, 0, 8)
     assert (cfg.delta, cfg.subdivisions, cfg.format, cfg.out) == (None, None, "csv", None)
@@ -220,6 +221,7 @@ def test_parse_output_options(tmp_path):
         # an option the subcommand's runner does not read
         ["moments", "--dims", "4", "--samples", "10", "--coeffs", "1,2"],
         ["selftest", "--dims", "8,16", "--coeffs", "3", "--grid-factor", "2", "--delta", "0.1"],
+        ["selftest", "--samples", "20"],
         ["gaps", "--grid-factor", "4"],
         ["fraction", "--delta", "0.1"],
     ],
@@ -236,7 +238,7 @@ def test_usage_errors_exit_with_code_2(argv):
 
 
 def test_main_selftest_green(capsys):
-    code = main(["selftest", "--samples", "20", "--seed", "11"])
+    code = main(["selftest", "--seed", "11"])
     out, err = capsys.readouterr()
     assert code == 0
     assert out.startswith("experiment,")  # record lands on stdout

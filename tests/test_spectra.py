@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cuelab import RngStream, chain_to_matrix, haar_reflection_chain, haar_unitary
+from cuelab import RngStream, chain_to_matrix, haar_reflection_chain, haar_unitary, spectra
 from cuelab.errors import InvalidArgumentError, NumericalFailureError, SingularPointError
 from cuelab.sampling import UnitaryMatrix, haar_verblunsky
 from cuelab.spectra import (
@@ -55,8 +55,87 @@ def test_stacked_eigenangles_equal_per_matrix_calls():
 def test_stacked_eigenangles_check_every_row():
     block, _ = haar_unitary(6, RngStream(SEED, 41).generator(), 4)
     block[2] *= 1.1
-    with pytest.raises(NumericalFailureError, match="deviate from 1 by .* in row 2"):
+    with pytest.raises(NumericalFailureError, match=r"residual max\|UV - V diag r\| is .* in row 2"):
         eigenangles(block)
+
+
+def circular_gap(a, b):
+    d = np.abs(a - b)
+    return np.minimum(d, 2 * np.pi - d)
+
+
+def eigvals_angles(stack):
+    # the general-matrix LAPACK route, for reference only
+    return np.sort(np.mod(np.angle(np.linalg.eigvals(stack)), 2 * np.pi), axis=-1)
+
+
+def test_eigenangles_match_eigvals_on_haar_draws():
+    # 10,048 Haar draws in stacked blocks, as the dense runners draw them
+    g = RngStream(SEED, 42).generator()
+    for n_dim, draws in ((8, 8192), (32, 1536), (64, 256), (128, 64)):
+        rows = max(1, (1 << 15) // n_dim**2)
+        for _ in range(draws // rows):
+            block, _ = haar_unitary(n_dim, g, rows)
+            assert np.max(circular_gap(eigenangles(block), eigvals_angles(block))) < 1e-13
+
+
+def test_angle_next_to_the_pole_moves_the_pole(monkeypatch):
+    g = RngStream(SEED, 43).generator()
+    q = haar_unitary(16, g)[0].entries
+    theta = g.uniform(0.0, 2 * np.pi, 16)
+    theta[5] = spectra._POLE_ANGLE + 1e-12
+    u = (q * np.exp(1j * theta)) @ q.conj().T
+    poles = []
+    real = spectra._cayley_rayleigh
+
+    def recording(stack, rows_poles):
+        poles.append(rows_poles.copy())
+        return real(stack, rows_poles)
+
+    monkeypatch.setattr(spectra, "_cayley_rayleigh", recording)
+    angles = eigenangles(u[None])
+    assert len(poles) == 2 and abs(poles[1][0] - spectra._POLE_ANGLE) > 0.1
+    assert np.max(circular_gap(angles, eigvals_angles(u[None]))) < 1e-13
+    assert np.max(circular_gap(angles[0], np.sort(theta))) < 1e-13
+
+
+def test_singular_cayley_solve_moves_the_pole(monkeypatch):
+    # LAPACK refuses a singular stacked solve as a whole; the row at fault
+    # must be found and redone with its pole elsewhere
+    block, _ = haar_unitary(8, RngStream(SEED, 44).generator(), 3)
+    singular = np.eye(8) - np.exp(-1j * spectra._POLE_ANGLE) * block[1]
+    real = np.linalg.solve
+    refused = []
+
+    def solve(a, b):
+        if np.any(np.max(np.abs(a - singular), axis=(-2, -1)) < 1e-12):
+            refused.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    angles = eigenangles(block)
+    assert refused == [(3, 8, 8), (8, 8)]
+    assert np.max(circular_gap(angles, eigvals_angles(block))) < 1e-13
+
+
+def test_exact_spectra_with_multiplicities_give_exact_angles():
+    for diagonal, angles in (
+        ([1, 1, 1, 1], [0.0] * 4),
+        ([-1, -1, -1, -1], [np.pi] * 4),
+        ([1, 1, -1, 1j], [0.0, 0.0, np.pi / 2, np.pi]),
+    ):
+        u = np.diag(np.array(diagonal, dtype=np.complex128))
+        np.testing.assert_array_equal(eigenangles(u[None])[0], angles)
+        np.testing.assert_array_equal(eigenangles(UnitaryMatrix(u)).angles, angles)
+
+
+def test_non_normal_row_fails_its_certificate():
+    for n_dim in (8, 32):
+        block, _ = haar_unitary(n_dim, RngStream(SEED, 45).generator(), 3)
+        block[1] += 1e-6 * np.triu(np.ones((n_dim, n_dim)), 1)
+        with pytest.raises(NumericalFailureError, match=r"residual max\|UV - V diag r\| is .* in row 1"):
+            eigenangles(block)
 
 
 def test_from_angles_round_trip():
