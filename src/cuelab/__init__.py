@@ -37,7 +37,6 @@ from .spectra import (
     LogZ,
     arc_count_value,
     count_in_arc,
-    count_in_circular_arc,
     eigenangles,
     log_z,
     log_z_from_chain,

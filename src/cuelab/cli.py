@@ -66,7 +66,7 @@ _COMMANDS = {
              {"dims": (32,), "samples": 2000}, _SAMPLED),
     "carrier": ("carrier-wave diagnostics and the per-sample lower bound",
                 {"dims": (64,), "samples": 50}, (*_COMBINATION, "--delta", "--subdivisions")),
-    "selftest": ("fast battery of exact identities", {"samples": 50}, ()),
+    "selftest": ("fast battery of identities and two-route checks", {"samples": 50}, ()),
 }
 
 

@@ -83,10 +83,6 @@ class CombinationEnsemble:
                 )
         self.angles = np.stack([spec.angles for spec in self.spectra])
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.coefficients)
-
 
 def _rotation_values(ens: CombinationEnsemble, thetas):
     """(G values, scale values) at thetas (a scalar or an array).

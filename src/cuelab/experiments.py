@@ -19,6 +19,13 @@ spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
 workers participated.
 
+Each runner reduces its rows through a ``_Report``: it appends estimate
+and value rows and checks in the order they are emitted, and its
+``record`` stamps the seed on every row, adds ``samples`` and ``checks``
+to the parameters, and fills the timing metadata when the config asks
+for it.  The reduction itself, which differs from runner to runner,
+stays in the runner and reads from top to bottom.
+
 The number of workers defaults to the CUELAB_WORKERS environment variable
 (falling back to 1); an ExperimentConfig can pin it explicitly.  Importing
 this module loads no scipy: the statistics and special functions import it
@@ -38,49 +45,23 @@ import multiprocessing
 import numpy as np
 
 from .errors import (
-    CuelabError,
-    DegenerateCombinationError,
-    InvalidConfigError,
-    NumericalFailureError,
+    CuelabError, DegenerateCombinationError, InvalidConfigError, NumericalFailureError,
 )
 from .rng import RngStream
-from .sampling import (
-    haar_special_unitary,
-    haar_unitary,
-    haar_unitary_qr_oracle,
-    haar_verblunsky,
-)
+from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI,
-    _SINGULAR_TOL,
-    _check_regular,
-    _szego,
-    eigenangles,
-    log_z_from_chain,
-    log_z_grid,
+    TWO_PI, _SINGULAR_TOL, _check_regular, _szego, eigenangles, log_z_from_chain, log_z_grid,
     log_z_verblunsky,
 )
 from .specfun import (
-    EULER_GAMMA,
-    expected_narrow_pairs,
-    f_mu,
-    joint_mgf_rhs,
-    oscillation_variance_exact,
+    EULER_GAMMA, expected_narrow_pairs, f_mu, joint_mgf_rhs, oscillation_variance_exact,
 )
 from .ensembles import (
-    ORACLE_MAX_DIM,
-    CombinationEnsemble,
-    circle_root_count,
-    roots_oracle,
-    sign_changes,
+    ORACLE_MAX_DIM, CombinationEnsemble, circle_root_count, roots_oracle, sign_changes,
 )
 from .carrier import (
-    carrier_wave_index,
-    exceptional_mask,
-    narrow_gap_count,
-    narrow_gap_threshold,
-    normalized_logs,
-    subdivision,
+    carrier_wave_index, exceptional_mask, narrow_gap_count, narrow_gap_threshold,
+    normalized_logs, subdivision,
 )
 from .results import EstimateRow, ResultRecord
 
@@ -166,9 +147,7 @@ class ExperimentConfig:
         if self.delta is not None and not (0.0 < self.delta < 0.25):
             raise InvalidConfigError(f"delta must lie in (0, 1/4), got {self.delta!r}")
         if self.subdivisions is not None and int(self.subdivisions) < 2:
-            raise InvalidConfigError(
-                f"subdivisions must be >= 2, got {self.subdivisions!r}"
-            )
+            raise InvalidConfigError(f"subdivisions must be >= 2, got {self.subdivisions!r}")
         if not (self.mu > 0.0):
             raise InvalidConfigError(f"mu must be positive, got {self.mu!r}")
         if self.workers is not None and int(self.workers) < 1:
@@ -188,9 +167,7 @@ class ExperimentConfig:
         try:
             return max(1, int(raw))
         except ValueError:
-            raise InvalidConfigError(
-                f"{_WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
+            raise InvalidConfigError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -272,20 +249,6 @@ def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
     return [np.concatenate([rows for fut in job for rows in fut.result()]) for job in futures]
 
 
-def _check(name: str, passed, detail: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _z_check(name: str, z: float) -> dict:
-    """A z-score check: passes when |z| <= _Z_THRESHOLD."""
-    return _check(name, abs(z) <= _Z_THRESHOLD, f"z={z:.3f}")
-
-
-def _every_sample(name: str, flags: np.ndarray) -> dict:
-    """A per-sample 0/1 flag check: passes when every flag is 1."""
-    return _check(name, bool(np.all(flags == 1.0)), f"violations={int(np.sum(flags != 1.0))}")
-
-
 def _drop_degenerate(data: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
     """The rows of non-degenerate draws, and the number of rows dropped.
 
@@ -301,9 +264,7 @@ def _drop_degenerate(data: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
 def _one_dim(cfg: ExperimentConfig) -> int:
     """The N of a runner that takes exactly one; checked before any draw."""
     if len(cfg.dims) != 1:
-        raise InvalidConfigError(
-            f"{cfg.experiment} runs take one N, got dims={list(cfg.dims)}"
-        )
+        raise InvalidConfigError(f"{cfg.experiment} runs take one N, got dims={list(cfg.dims)}")
     return cfg.dims[0]
 
 
@@ -313,21 +274,51 @@ def _version() -> str:
     return __version__
 
 
-def _finish(cfg: ExperimentConfig, params: dict, rows: list, checks: list,
-            started: float) -> ResultRecord:
-    """The record of a run; every record's parameters hold samples and checks."""
-    params = {**params, "samples": cfg.samples, "checks": checks}
-    metadata = {"version": _version(), "timestamp": None, "runtime_seconds": None}
-    if cfg.include_timing:
-        metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
-        metadata["runtime_seconds"] = time.time() - started
-    return ResultRecord(
-        experiment=cfg.experiment, parameters=params, estimates=rows, metadata=metadata
-    )
+class _Report:
+    """The rows, checks and record of one run, in the order they are added.
 
+    Every row carries the run's seed.  A check is a dict of name, passed
+    and detail; a z-tested one passes at |z| <= _Z_THRESHOLD.
+    """
 
-def _value_row(label: str, value: float, seed: int, n: int = 0) -> EstimateRow:
-    return EstimateRow(label, float(value), 0.0, n, seed)
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.rows, self.checks = [], []
+        self._started = time.perf_counter()
+
+    def estimate(self, label: str, values) -> EstimateRow:
+        """Append and return the Monte Carlo row of ``values``."""
+        row = EstimateRow.from_samples(label, values, self.cfg.seed)
+        self.rows.append(row)
+        return row
+
+    def value(self, label: str, v: float, n: int = 0) -> None:
+        """Append a deterministic row (stderr 0) computed from ``n`` inputs."""
+        self.rows.append(EstimateRow(label, float(v), 0.0, n, self.cfg.seed))
+
+    def check(self, name: str, passed, detail: str = "") -> None:
+        self.checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    def z_check(self, name: str, z: float) -> None:
+        self.check(name, abs(z) <= _Z_THRESHOLD, f"z={z:.3f}")
+
+    def every_sample(self, name: str, flags: np.ndarray) -> None:
+        """A per-sample 0/1 flag check: passes when every flag is 1."""
+        self.check(name, np.all(flags == 1.0), f"violations={int(np.sum(flags != 1.0))}")
+
+    def record(self, **params) -> ResultRecord:
+        """The run's record; its parameters end with samples and checks."""
+        cfg = self.cfg
+        metadata = {"version": _version(), "timestamp": None, "runtime_seconds": None}
+        if cfg.include_timing:
+            metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
+            metadata["runtime_seconds"] = time.perf_counter() - self._started
+        return ResultRecord(
+            experiment=cfg.experiment,
+            parameters={**params, "samples": cfg.samples, "checks": self.checks},
+            estimates=self.rows,
+            metadata=metadata,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -359,45 +350,29 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     stderr.  N is capped at ORACLE_MAX_DIM (512).  Degenerate draws
     (identically vanishing combination) are excluded and counted.
     """
-    started = time.time()
+    report = _Report(cfg)
     for dim in cfg.dims:
         if dim > ORACLE_MAX_DIM:
-            raise InvalidConfigError(
-                f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}"
-            )
-    rows, checks, fractions = [], [], []
-    degenerate = {}
+            raise InvalidConfigError(f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}")
+    fractions, degenerate = [], {}
     jobs = [
         (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients), 1)
         for group, dim in enumerate(cfg.dims)
     ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         kept, degenerate[f"N={dim}"] = _drop_degenerate(data, dim)
-        fractions.append(EstimateRow.from_samples(f"N={dim}", kept[:, 0], cfg.seed))
-        rows.append(fractions[-1])
+        fractions.append(report.estimate(f"N={dim}", kept[:, 0]))
         rate = float(kept[:, 1].mean())
         if dim <= 16:
-            checks.append(
-                _check(
-                    f"count audit agreement N={dim}",
-                    rate >= 0.95,
-                    f"rate={rate:.4f} over {len(kept)} audited samples",
-                )
-            )
+            report.check(f"count audit agreement N={dim}", rate >= 0.95,
+                         f"rate={rate:.4f} over {len(kept)} audited samples")
         else:
             # sign scanning can miss a close pair of circle zeros (3 of
             # 1,200 ensembles at N = 64, 3 of 30 at N = 256), so above
             # N = 16 the agreement rate is reported, not gated
-            rows.append(
-                _value_row(f"count audit rate N={dim}", rate, cfg.seed, n=len(kept))
-            )
-        checks.append(
-            _check(
-                f"sign changes never exceed root count N={dim}",
-                bool(np.all(kept[:, 2] == 1.0)),
-                "lower-bound property of sign counting",
-            )
-        )
+            report.value(f"count audit rate N={dim}", rate, n=len(kept))
+        report.check(f"sign changes never exceed root count N={dim}", np.all(kept[:, 2] == 1.0),
+                     "lower-bound property of sign counting")
     means = [row.mean for row in fractions]
     if len(cfg.dims) >= 2:
         deficits = [
@@ -405,35 +380,15 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
             for a, b in zip(fractions, fractions[1:])
         ]
         worst = max([0.0, *deficits])
-        checks.append(
-            _check(
-                "mean fraction nondecreasing within 2 pooled stderr",
-                worst <= 0.0,
-                f"worst deficit beyond allowance {worst:.4f}",
-            )
-        )
-        checks.append(
-            _check(
-                f"N={cfg.dims[-1]} mean exceeds N={cfg.dims[0]} mean",
-                means[-1] > means[0],
-                f"{means[-1]:.4f} vs {means[0]:.4f}",
-            )
-        )
+        report.check("mean fraction nondecreasing within 2 pooled stderr", worst <= 0.0,
+                     f"worst deficit beyond allowance {worst:.4f}")
+        report.check(f"N={cfg.dims[-1]} mean exceeds N={cfg.dims[0]} mean", means[-1] > means[0],
+                     f"{means[-1]:.4f} vs {means[0]:.4f}")
     baseline = 1.0 / math.sqrt(3.0) + 0.05
-    checks.append(
-        _check(
-            f"N={cfg.dims[-1]} mean exceeds 1/sqrt(3)+0.05",
-            means[-1] > baseline,
-            f"{means[-1]:.4f} vs {baseline:.4f}",
-        )
-    )
-    params = {
-        "dims": list(cfg.dims),
-        "coefficients": list(cfg.coefficients),
-        "grid_factor": cfg.grid_factor,
-        "degenerate_excluded": degenerate,
-    }
-    return _finish(cfg, params, rows, checks, started)
+    report.check(f"N={cfg.dims[-1]} mean exceeds 1/sqrt(3)+0.05", means[-1] > baseline,
+                 f"{means[-1]:.4f} vs {baseline:.4f}")
+    return report.record(dims=list(cfg.dims), coefficients=list(cfg.coefficients),
+                         grid_factor=cfg.grid_factor, degenerate_excluded=degenerate)
 
 
 # --------------------------------------------------------------------------
@@ -483,26 +438,18 @@ def run_moment_check(cfg: ExperimentConfig) -> ResultRecord:
     empirical side reads log Z(0) from Haar Verblunsky coefficients in
     O(N), so no matrix and no eigendecomposition is involved.
     """
-    started = time.time()
-    rows, checks = [], []
+    report = _Report(cfg)
     zs = {}
     jobs = [(_sample_moment, group, dim, _block_rows(dim)) for group, dim in enumerate(cfg.dims)]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         for i, (s, t) in enumerate(_MOMENT_CASES):
             case = f"s={s:g},t={t:g},N={dim}"
-            row = EstimateRow.from_samples(f"{case} empirical", data[:, i], cfg.seed)
+            row = report.estimate(f"{case} empirical", data[:, i])
             reference = joint_mgf_rhs(s, t, dim)
-            z = row.z_score(reference)
-            zs[case] = z
-            rows.append(row)
-            rows.append(_value_row(f"{case} formula", reference, cfg.seed))
-            checks.append(_z_check(f"moment z-score {case}", z))
-    params = {
-        "dims": list(cfg.dims),
-        "cases": [list(c) for c in _MOMENT_CASES],
-        "z_scores": zs,
-    }
-    return _finish(cfg, params, rows, checks, started)
+            zs[case] = row.z_score(reference)
+            report.value(f"{case} formula", reference)
+            report.z_check(f"moment z-score {case}", zs[case])
+    return report.record(dims=list(cfg.dims), cases=[list(c) for c in _MOMENT_CASES], z_scores=zs)
 
 
 # --------------------------------------------------------------------------
@@ -546,54 +493,35 @@ def run_trace_covariance(cfg: ExperimentConfig) -> ResultRecord:
     test, so one run cross-validates the samplers against each other as
     well as against the formula.
     """
-    started = time.time()
+    report = _Report(cfg)
     dim = _one_dim(cfg)
     if _TRACE_POWERS[-1] > 4 * dim:
         raise InvalidConfigError(
             f"trace powers up to {_TRACE_POWERS[-1]} exceed the 4N window at N={dim}"
         )
     (data,) = _collect(cfg, [(_sample_traces, 0, dim, _block_rows(dim * dim, _BLOCK_ENTRIES))])
-    rows, checks = [], []
     zs = {}
     col = 0
     for sampler in ("reflection", "qr"):
         for p, q in _TRACE_PAIRS:
             target = float(min(p, dim)) if p == q else 0.0
             pair = f"p={p},q={q} {sampler}"
-            row_re = EstimateRow.from_samples(f"{pair} re", data[:, col], cfg.seed)
-            row_im = EstimateRow.from_samples(f"{pair} im", data[:, col + 1], cfg.seed)
+            z_re = report.estimate(f"{pair} re", data[:, col]).z_score(target)
+            z_im = report.estimate(f"{pair} im", data[:, col + 1]).z_score(0.0)
             col += 2
-            z_re = row_re.z_score(target)
-            z_im = row_im.z_score(0.0)
             zs[pair] = [z_re, z_im]
-            rows.append(row_re)
-            rows.append(row_im)
-            checks.append(
-                _check(
-                    f"trace z-score {pair}",
-                    abs(z_re) <= _Z_THRESHOLD and abs(z_im) <= _Z_THRESHOLD,
-                    f"z_re={z_re:.3f} z_im={z_im:.3f} target={target:g}",
-                )
-            )
+            report.check(f"trace z-score {pair}",
+                         abs(z_re) <= _Z_THRESHOLD and abs(z_im) <= _Z_THRESHOLD,
+                         f"z_re={z_re:.3f} z_im={z_im:.3f} target={target:g}")
     from scipy import stats
 
     ks = stats.ks_2samp(data[:, -2], data[:, -1])
-    rows.append(_value_row("sampler KS statistic", float(ks.statistic), cfg.seed, cfg.samples))
-    checks.append(
-        _check(
-            "sampler KS on log|Z(0)|",
-            float(ks.pvalue) >= _KS_LEVEL,
-            f"statistic={float(ks.statistic):.5f} pvalue={float(ks.pvalue):.4f}",
-        )
-    )
-    params = {
-        "dims": [dim],
-        "pairs": [list(p) for p in _TRACE_PAIRS],
-        "z_scores": zs,
-        "ks_statistic": float(ks.statistic),
-        "ks_pvalue": float(ks.pvalue),
-    }
-    return _finish(cfg, params, rows, checks, started)
+    statistic, pvalue = float(ks.statistic), float(ks.pvalue)
+    report.value("sampler KS statistic", statistic, cfg.samples)
+    report.check("sampler KS on log|Z(0)|", pvalue >= _KS_LEVEL,
+                 f"statistic={statistic:.5f} pvalue={pvalue:.4f}")
+    return report.record(dims=[dim], pairs=[list(p) for p in _TRACE_PAIRS], z_scores=zs,
+                         ks_statistic=statistic, ks_pvalue=pvalue)
 
 
 # --------------------------------------------------------------------------
@@ -607,17 +535,14 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
     1.36/sqrt(samples).  Samples come from Verblunsky coefficients in O(N)
     each, so N runs up to 2^16.
     """
-    started = time.time()
+    report = _Report(cfg)
     for dim in cfg.dims:
         if dim < 64:
             raise InvalidConfigError(f"clt check needs N >= 64, got N={dim}")
         if dim > _CLT_MAX_DIM:
-            raise InvalidConfigError(
-                f"clt runs are capped at N={_CLT_MAX_DIM}, got N={dim}"
-            )
+            raise InvalidConfigError(f"clt runs are capped at N={_CLT_MAX_DIM}, got N={dim}")
     from scipy import stats
 
-    rows, checks = [], []
     ks_by_dim = {}
     jobs = [
         (_sample_log_z_at_zero, group, dim, _block_rows(dim))
@@ -625,9 +550,8 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
     ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
         normalized = data[:, 0] / math.sqrt(0.5 * math.log(dim))
-        ks = float(stats.kstest(normalized, "norm").statistic)
-        ks_by_dim[dim] = ks
-        rows.append(_value_row(f"N={dim} ks-distance", ks, cfg.seed, cfg.samples))
+        ks_by_dim[dim] = float(stats.kstest(normalized, "norm").statistic)
+        report.value(f"N={dim} ks-distance", ks_by_dim[dim], cfg.samples)
     control = (
         RngStream(seed=cfg.seed)
         .child(len(cfg.dims) << _GROUP_SHIFT)
@@ -635,42 +559,24 @@ def run_clt_check(cfg: ExperimentConfig) -> ResultRecord:
         .standard_normal(cfg.samples)
     )
     ks_control = float(stats.kstest(control, "norm").statistic)
-    rows.append(_value_row("normal control ks-distance", ks_control, cfg.seed, cfg.samples))
+    report.value("normal control ks-distance", ks_control, cfg.samples)
     # The pinned thresholds are calibrated at 1e4 samples; the noise parts
     # scale like 1/sqrt(samples).
     scale = math.sqrt(10000.0 / cfg.samples)
     largest = max(cfg.dims)
-    checks.append(
-        _check(
-            f"KS at N={largest} within 0.08",
-            ks_by_dim[largest] <= 0.08,
-            f"ks={ks_by_dim[largest]:.4f}",
-        )
-    )
+    report.check(f"KS at N={largest} within 0.08", ks_by_dim[largest] <= 0.08,
+                 f"ks={ks_by_dim[largest]:.4f}")
     if len(cfg.dims) >= 2:
         smallest = min(cfg.dims)
-        checks.append(
-            _check(
-                "KS shrinks with N",
-                ks_by_dim[largest] <= ks_by_dim[smallest] + 0.02 * scale,
-                f"ks({largest})={ks_by_dim[largest]:.4f} vs "
-                f"ks({smallest})={ks_by_dim[smallest]:.4f}",
-            )
+        report.check(
+            "KS shrinks with N",
+            ks_by_dim[largest] <= ks_by_dim[smallest] + 0.02 * scale,
+            f"ks({largest})={ks_by_dim[largest]:.4f} vs "
+            f"ks({smallest})={ks_by_dim[smallest]:.4f}",
         )
-    checks.append(
-        _check(
-            "normal control within noise",
-            ks_control <= 0.02 * scale,
-            f"ks={ks_control:.4f}",
-        )
-    )
-    params = {
-        "dims": list(cfg.dims),
-        "noise_floor": 1.36 / math.sqrt(cfg.samples),
-        "ks_by_dim": {str(d): ks_by_dim[d] for d in cfg.dims},
-        "ks_control": ks_control,
-    }
-    return _finish(cfg, params, rows, checks, started)
+    report.check("normal control within noise", ks_control <= 0.02 * scale, f"ks={ks_control:.4f}")
+    return report.record(dims=list(cfg.dims), noise_floor=1.36 / math.sqrt(cfg.samples),
+                         ks_by_dim={str(d): ks_by_dim[d] for d in cfg.dims}, ks_control=ks_control)
 
 
 # --------------------------------------------------------------------------
@@ -695,12 +601,11 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
     with x0 = 0.  The underlying bounds fix no constants, so the checks
     assert the monotone structure only.
     """
-    started = time.time()
+    report = _Report(cfg)
     if min(cfg.dims) < 2:
         raise InvalidConfigError(
             f"tails runs scale by sqrt(log N) and need N >= 2, got N={min(cfg.dims)}"
         )
-    rows, checks = [], []
     jobs = []
     for group, dim in enumerate(cfg.dims):
         jobs.append((_sample_tail_modulus, 2 * group, dim, _block_rows(dim)))
@@ -722,38 +627,21 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
                 [(f"delta={d:g}", np.abs(re_part) <= d) for d in _DELTA_GRID],
             ),
         )
-        probs, trends = [], []
-        for name, trend, events in tables:
-            table = [
-                EstimateRow.from_samples(f"{name} {param} N={dim}", event.astype(float), cfg.seed)
+        probs = [
+            [
+                report.estimate(f"{name} {param} N={dim}", event.astype(float)).mean
                 for param, event in events
             ]
-            rows.extend(table)
-            p = [row.mean for row in table]
-            probs.append(p)
-            trends.append(
-                _check(
-                    f"{name} {trend} N={dim}",
-                    all(hi >= lo for hi, lo in zip(p, p[1:])),
-                    " ".join(f"{v:.4f}" for v in p),
-                )
-            )
+            for name, _, events in tables
+        ]
         p_mod, p_im = probs[0][0], probs[1][0]
-        checks.append(
-            _check(
-                f"A=0 exceedance is certain N={dim}",
-                p_mod == 1.0 and p_im == 1.0,
-                f"p={p_mod:g}",
-            )
-        )
-        checks.extend(trends)
-    params = {
-        "dims": list(cfg.dims),
-        "a_grid": list(_A_GRID),
-        "delta_grid": list(_DELTA_GRID),
-        "x0": 0.0,
-    }
-    return _finish(cfg, params, rows, checks, started)
+        report.check(f"A=0 exceedance is certain N={dim}", p_mod == 1.0 and p_im == 1.0,
+                     f"p={p_mod:g}")
+        for (name, trend, _), p in zip(tables, probs):
+            report.check(f"{name} {trend} N={dim}", all(hi >= lo for hi, lo in zip(p, p[1:])),
+                         " ".join(f"{v:.4f}" for v in p))
+    return report.record(dims=list(cfg.dims), a_grid=list(_A_GRID),
+                         delta_grid=list(_DELTA_GRID), x0=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -773,13 +661,10 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
     second moment; the deterministic rows restate the series value at
     N = 10^4, mu = 20 pi next to its large-N asymptote 1 + gamma + f(mu).
     """
-    started = time.time()
+    report = _Report(cfg)
     for dim in cfg.dims:
         if cfg.mu > TWO_PI * dim:
-            raise InvalidConfigError(
-                f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}"
-            )
-    rows, checks = [], []
+            raise InvalidConfigError(f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}")
     jobs = [
         (_sample_oscillation, group, (dim, cfg.mu), _block_rows(dim))
         for group, dim in enumerate(cfg.dims)
@@ -788,29 +673,17 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
         reference = oscillation_variance_exact(dim, cfg.mu)
         for col, part in enumerate(("re", "im")):
             label = f"{part} increment second moment N={dim} mu={cfg.mu:g}"
-            row = EstimateRow.from_samples(label, data[:, col] ** 2, cfg.seed)
-            rows.append(row)
-            checks.append(_z_check(f"{part} increment z-score N={dim}", row.z_score(reference)))
-        rows.append(
-            _value_row(f"exact series N={dim} mu={cfg.mu:g}", reference, cfg.seed)
-        )
+            row = report.estimate(label, data[:, col] ** 2)
+            report.z_check(f"{part} increment z-score N={dim}", row.z_score(reference))
+        report.value(f"exact series N={dim} mu={cfg.mu:g}", reference)
     big_n, big_mu = 10000, 20.0 * math.pi
     series = oscillation_variance_exact(big_n, big_mu)
     asymptote = 1.0 + EULER_GAMMA + f_mu(big_mu)
-    rows.append(_value_row(f"exact series N={big_n} mu={big_mu:g}", series, cfg.seed))
-    rows.append(_value_row(f"asymptote 1+gamma+f mu={big_mu:g}", asymptote, cfg.seed))
-    checks.append(
-        _check(
-            "series matches asymptote within 0.05",
-            abs(series - asymptote) <= 0.05,
-            f"gap={abs(series - asymptote):.2e}",
-        )
-    )
-    params = {
-        "dims": list(cfg.dims),
-        "mu": cfg.mu,
-    }
-    return _finish(cfg, params, rows, checks, started)
+    report.value(f"exact series N={big_n} mu={big_mu:g}", series)
+    report.value(f"asymptote 1+gamma+f mu={big_mu:g}", asymptote)
+    report.check("series matches asymptote within 0.05", abs(series - asymptote) <= 0.05,
+                 f"gap={abs(series - asymptote):.2e}")
+    return report.record(dims=list(cfg.dims), mu=cfg.mu)
 
 
 # --------------------------------------------------------------------------
@@ -833,51 +706,32 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
     slack) and match the sine-kernel quadrature; doubling eps multiplies
     the quadrature prediction by about 8.
     """
-    started = time.time()
+    report = _Report(cfg)
     dim = _one_dim(cfg)
     if dim < 2:
         raise InvalidConfigError(f"gaps runs need N >= 2 angles to pair, got N={dim}")
     (data,) = _collect(cfg, [(_sample_gaps, 0, dim, _block_rows(dim * dim, _BLOCK_ENTRIES))])
-    rows, checks = [], []
     quad = {}
     for i, eps in enumerate(_EPS_GRID):
-        row = EstimateRow.from_samples(f"eps={eps:g} empirical", data[:, i], cfg.seed)
-        reference = expected_narrow_pairs(dim, eps)
-        quad[eps] = reference
+        row = report.estimate(f"eps={eps:g} empirical", data[:, i])
+        reference = quad[eps] = expected_narrow_pairs(dim, eps)
         bound = dim * eps ** 3 / (18.0 * math.pi)
-        rows.append(row)
-        rows.append(_value_row(f"eps={eps:g} quadrature", reference, cfg.seed))
-        checks.append(
-            _check(
-                f"cubic bound eps={eps:g}",
-                row.mean <= bound + 4.0 * row.stderr,
-                f"mean={row.mean:.5f} bound={bound:.5f}",
-            )
-        )
+        report.value(f"eps={eps:g} quadrature", reference)
+        report.check(f"cubic bound eps={eps:g}", row.mean <= bound + 4.0 * row.stderr,
+                     f"mean={row.mean:.5f} bound={bound:.5f}")
         # Narrow pairs are rare, so a count is close to Poisson and its
         # variance under the reference is about the reference itself.  That
         # floor keeps a run that sees few or no pairs from dividing by a
         # sample stderr that shrinks with them.
         stderr = math.sqrt(max(row.stderr ** 2, reference / row.n))
-        checks.append(
-            _z_check(f"quadrature z-score eps={eps:g}", (row.mean - reference) / stderr)
-        )
+        report.z_check(f"quadrature z-score eps={eps:g}", (row.mean - reference) / stderr)
     for eps in _EPS_GRID:
         if 2.0 * eps in quad:
             ratio = quad[2.0 * eps] / quad[eps]
-            checks.append(
-                _check(
-                    f"cubic scaling eps={eps:g} to {2 * eps:g}",
-                    abs(ratio - 8.0) <= 0.8,
-                    f"ratio={ratio:.4f}",
-                )
-            )
-    params = {
-        "dims": [dim],
-        "eps_grid": list(_EPS_GRID),
-        "quadrature": {f"{e:g}": quad[e] for e in _EPS_GRID},
-    }
-    return _finish(cfg, params, rows, checks, started)
+            report.check(f"cubic scaling eps={eps:g} to {2 * eps:g}", abs(ratio - 8.0) <= 0.8,
+                         f"ratio={ratio:.4f}")
+    return report.record(dims=[dim], eps_grid=list(_EPS_GRID),
+                         quadrature={f"{e:g}": quad[e] for e in _EPS_GRID})
 
 
 # --------------------------------------------------------------------------
@@ -948,47 +802,30 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     subintervals with a constant carrier index, and the summed lower bound
     sum_k max(0, nu_k - 2 - 2 psi_k) against the measured sign-change count.
     """
-    started = time.time()
+    report = _Report(cfg)
     dim = _one_dim(cfg)
     subdivision(dim, cfg.subdivisions, cfg.delta)  # rejects N < 4 and K out of range
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
     (data,) = _collect(cfg, [(_sample_carrier, 0, payload, 1)])
     kept, excluded = _drop_degenerate(data, dim)
-    rows = [
-        EstimateRow.from_samples(label, kept[:, col], cfg.seed)
-        for col, label in (
-            (0, "lambda exceptional delta"),
-            (1, "lambda exceptional delta/2"),
-            (3, "carrier stability fraction"),
-            (4, "summed lower bound"),
-            (5, "measured sign changes"),
-        )
-    ]
-    checks = [
-        _every_sample("lower bound holds in every sample", kept[:, 6]),
-        _every_sample("exceptional set monotone pointwise", kept[:, 2]),
-        _check(
-            "mean exceptional measure decreases when delta halves",
-            float(kept[:, 1].mean()) <= float(kept[:, 0].mean()),
-            f"{kept[:, 1].mean():.4f} vs {kept[:, 0].mean():.4f}",
-        ),
-    ]
+    for col, label in (
+        (0, "lambda exceptional delta"),
+        (1, "lambda exceptional delta/2"),
+        (3, "carrier stability fraction"),
+        (4, "summed lower bound"),
+        (5, "measured sign changes"),
+    ):
+        report.estimate(label, kept[:, col])
+    report.every_sample("lower bound holds in every sample", kept[:, 6])
+    report.every_sample("exceptional set monotone pointwise", kept[:, 2])
+    report.check("mean exceptional measure decreases when delta halves",
+                 float(kept[:, 1].mean()) <= float(kept[:, 0].mean()),
+                 f"{kept[:, 1].mean():.4f} vs {kept[:, 0].mean():.4f}")
     if cfg.n_matrices == 1:
-        checks.append(
-            _check(
-                "single wave carries everywhere",
-                bool(np.all(kept[:, 3] == 1.0)),
-                "carrier index is trivially constant",
-            )
-        )
-    params = {
-        "dims": [dim],
-        "coefficients": list(cfg.coefficients),
-        "delta": cfg.delta,
-        "subdivisions": cfg.subdivisions,
-        "degenerate_excluded": excluded,
-    }
-    return _finish(cfg, params, rows, checks, started)
+        report.check("single wave carries everywhere", np.all(kept[:, 3] == 1.0),
+                     "carrier index is trivially constant")
+    return report.record(dims=[dim], coefficients=list(cfg.coefficients), delta=cfg.delta,
+                         subdivisions=cfg.subdivisions, degenerate_excluded=excluded)
 
 
 # --------------------------------------------------------------------------
@@ -996,26 +833,20 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
 
 
 def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
-    """Small fixed battery of exact identities; runs in a few seconds."""
-    started = time.time()
+    """Small fixed battery of identities and two-route checks; runs in a few seconds."""
+    report = _Report(cfg)
     gen = RngStream(seed=cfg.seed).child(0).generator()
-    rows, checks = [], []
 
-    # Arc-counting identity on random spectra and arcs.
-    from .spectra import count_in_arc
-
-    worst = 0
-    for _ in range(50):
-        dim = int(gen.integers(2, 17))
-        spec = eigenangles(haar_unitary(dim, gen)[0])
-        s_val, t_val = np.sort(gen.uniform(0.0, TWO_PI, 2))
-        if t_val - s_val < 1e-9:
-            continue
-        direct = int(np.sum((spec.angles >= s_val) & (spec.angles < t_val)))
-        formula = count_in_arc(spec, float(s_val), float(t_val))
-        worst = max(worst, abs(formula - direct))
-    rows.append(_value_row("arc identity max deviation", float(worst), cfg.seed, 50))
-    checks.append(_check("arc-counting identity", worst < 1e-6, f"max deviation {worst}"))
+    # log Z(0) by two routes: the reflection chain's factors and the
+    # eigenangle kernel on the certified spectrum of the same matrices.
+    # The kernel's Re loses about 1e-15 / (distance of the nearest
+    # eigenangle to 0), hence the 1e-6 allowance.
+    u, chain = haar_unitary(16, gen, 50)
+    by_chain = log_z_from_chain(chain)
+    re, im = log_z_grid(eigenangles(u), 0.0)
+    worst = float(max(np.max(np.abs(by_chain.re - re)), np.max(np.abs(by_chain.im - im))))
+    report.value("log Z(0) chain vs spectrum max deviation", worst, 50)
+    report.check("log Z(0) two routes", worst <= 1e-6, f"max deviation {worst:.2e}")
 
     # Reflection sampler invariants at N=8.
     defect = 0.0
@@ -1026,10 +857,10 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
         theta = float(gen.uniform(0.0, TWO_PI))
         su, _ = haar_special_unitary(8, theta, gen)
         det_gap = max(det_gap, abs(su.det() - np.exp(1j * 8 * theta)))
-    rows.append(_value_row("unitarity defect", defect, cfg.seed, 10))
-    checks.append(_check("reflection product unitary", defect < 1e-10, f"defect {defect:.2e}"))
-    rows.append(_value_row("determinant forcing gap", det_gap, cfg.seed, 10))
-    checks.append(_check("determinant forcing", det_gap < 1e-10, f"gap {det_gap:.2e}"))
+    report.value("unitarity defect", defect, 10)
+    report.check("reflection product unitary", defect < 1e-10, f"defect {defect:.2e}")
+    report.value("determinant forcing gap", det_gap, 10)
+    report.check("determinant forcing", det_gap < 1e-10, f"gap {det_gap:.2e}")
 
     # Coupling bound.
     from .sampling import coupled_chain_pair
@@ -1040,13 +871,13 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
         forced, free = coupled_chain_pair(8, theta, gen)
         diff = abs(log_z_from_chain(forced).im - log_z_from_chain(free).im)
         worst_gap = max(worst_gap, diff)
-    rows.append(_value_row("coupling max im gap", worst_gap, cfg.seed, 25))
-    checks.append(_check("coupling bound", worst_gap <= math.pi, f"max {worst_gap:.4f}"))
+    report.value("coupling max im gap", worst_gap, 25)
+    report.check("coupling bound", worst_gap <= math.pi, f"max {worst_gap:.4f}")
 
     # Moment formula pin.
     gap = abs(joint_mgf_rhs(2.0, 0.0, 8) - 9.0)
-    rows.append(_value_row("moment formula gap at (2,0,8)", gap, cfg.seed))
-    checks.append(_check("moment formula value", gap < 1e-9, f"gap {gap:.2e}"))
+    report.value("moment formula gap at (2,0,8)", gap)
+    report.check("moment formula value", gap < 1e-9, f"gap {gap:.2e}")
 
     # A single characteristic polynomial has all zeros on the circle.
     all_n = True
@@ -1055,8 +886,8 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
         ens = CombinationEnsemble(np.array([1.0]), (spec,))
         if sign_changes(ens) != 8:
             all_n = False
-    rows.append(_value_row("single-wave count is N", 1.0 if all_n else 0.0, cfg.seed, 5))
-    checks.append(_check("single-wave zero count", all_n, "sign changes == N"))
+    report.value("single-wave count is N", 1.0 if all_n else 0.0, 5)
+    report.check("single-wave zero count", all_n, "sign changes == N")
 
     # Serialization round trip.
     from .results import _record_from_csv, _record_from_json, to_csv_text, to_json_text
@@ -1076,10 +907,10 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
         and back_json.metadata == toy.metadata
         and back_csv.estimates == toy.estimates
     )
-    rows.append(_value_row("serialization round trip", 1.0 if round_ok else 0.0, cfg.seed))
-    checks.append(_check("serialization round trip", round_ok, "json full, csv table"))
+    report.value("serialization round trip", 1.0 if round_ok else 0.0)
+    report.check("serialization round trip", round_ok, "json full, csv table")
 
-    return _finish(cfg, {}, rows, checks, started)
+    return report.record()
 
 
 # The experiment registry, subcommand name -> runner; ExperimentConfig

@@ -103,9 +103,6 @@ class ResultRecord:
             for c in self.parameters.get("checks", [])
         ]
 
-    def all_checks_passed(self) -> bool:
-        return all(passed for _, passed, _ in self.checks())
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")

@@ -45,7 +45,6 @@ __all__ = [
     "log_z",
     "arc_count_value",
     "count_in_arc",
-    "count_in_circular_arc",
     "log_z_from_chain",
     "log_z_verblunsky",
 ]
@@ -391,17 +390,6 @@ def count_in_arc(spec: EigenangleSpectrum, s: float, t: float) -> int:
         raise InvalidArgumentError(f"arc must satisfy 0 <= s < t < 2pi, got ({s}, {t})")
     value = arc_count_value(spec, s, t)
     return int(round(value))
-
-
-def count_in_circular_arc(spec: EigenangleSpectrum, start: float, length: float) -> int:
-    """Arc count for an arc of given length starting at ``start``, wrapping ok.
-
-    Same identity as :func:`count_in_arc`, valid across the 0/2pi seam.
-    """
-    start, length = float(start), float(length)
-    if not (0.0 < length < TWO_PI):
-        raise InvalidArgumentError(f"arc length must be in (0, 2pi), got {length}")
-    return int(round(arc_count_value(spec, start, start + length)))
 
 
 def log_z_from_chain(chain: ReflectionChain) -> LogZ:

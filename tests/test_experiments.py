@@ -36,6 +36,7 @@ from cuelab.experiments import (
     run_trace_covariance,
 )
 from cuelab.results import EstimateRow, read_record, to_json_text
+from cuelab.spectra import LogZ
 
 
 def failed_checks(record):
@@ -375,7 +376,7 @@ def test_moment_runner_flags_impossible_tolerance(monkeypatch):
     cfg = ExperimentConfig(experiment="moments", dims=(6,), samples=500, seed=1)
     rec = run_moment_check(cfg)
     assert len(failed_checks(rec)) > 0
-    assert not rec.all_checks_passed()
+    assert not all(passed for _, passed, _ in rec.checks())
 
 
 def test_trace_runner_both_samplers_and_ks_gate():
@@ -541,6 +542,28 @@ def test_selftest_runner_all_green():
     rec = run_selftest(cfg)
     assert len(rec.checks()) >= 5
     assert failed_checks(rec) == []
+
+
+@pytest.mark.parametrize("mutant", ["im shifted by 2 pi", "one factor dropped"])
+def test_selftest_log_z_row_compares_two_routes(monkeypatch, mutant):
+    # the row passes on the real chain route and fails once that route is
+    # wrong, so it compares two computations rather than restating one
+    cfg = ExperimentConfig(experiment="selftest", seed=52008)
+    name = "log Z(0) two routes"
+    assert {n: ok for n, ok, _ in run_selftest(cfg).checks()}[name]
+    real = experiments.log_z_from_chain
+
+    def shifted(chain):
+        out = real(chain)
+        return LogZ(out.re, out.im + 2.0 * np.pi)
+
+    def drops_a_factor(chain):
+        logs = np.log(1.0 - chain.last_components()[..., 1:])
+        return LogZ(np.sum(logs.real, axis=-1), np.sum(logs.imag, axis=-1))
+
+    wrong = {"im shifted by 2 pi": shifted, "one factor dropped": drops_a_factor}[mutant]
+    monkeypatch.setattr(experiments, "log_z_from_chain", wrong)
+    assert not {n: ok for n, ok, _ in run_selftest(cfg).checks()}[name]
 
 
 def test_metadata_omits_timing_by_default():

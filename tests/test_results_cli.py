@@ -55,7 +55,7 @@ def test_estimate_row_validation():
 def test_record_checks_view():
     rec = small_record()
     assert rec.checks() == [("baseline", True, "ok"), ("trend", False, "dipped")]
-    assert not rec.all_checks_passed()
+    assert not all(passed for _, passed, _ in rec.checks())
 
 
 def test_csv_has_pinned_header_and_one_row_per_estimate():
@@ -257,7 +257,7 @@ def test_main_writes_file_and_reports_checks(tmp_path, capsys):
     assert str(target) in err
     rec = read_record(str(target))
     assert rec.experiment == "gaps"
-    assert rec.all_checks_passed()
+    assert all(passed for _, passed, _ in rec.checks())
 
 
 def test_main_exit_one_when_a_check_fails(capsys):
