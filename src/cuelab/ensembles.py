@@ -8,11 +8,12 @@ The self-inversive structure of each factor makes
 G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real trigonometric
 polynomial whose sign changes lower-bound the number of zeros of F on the
 unit circle.  This module provides G, a sign-change counter that refines
-all its brackets level by level (one kernel call per bisection level), and
-an independent oracle: companion-matrix roots of the polynomial whose
-coefficients come from an FFT of F sampled on the circle.  Both routes take
-every Z_j from :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G
-and F stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
+all its brackets level by level (one kernel call per bisection level, for
+one ensemble or a whole stack of them), and an independent oracle:
+companion-matrix roots of the polynomial whose coefficients come from an
+FFT of F sampled on the circle.  Both routes take every Z_j from the
+kernel of :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F
+stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
 with c_j = #{theta_jk < theta}, term j of G has the sign of
 b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
-from .spectra import TWO_PI, log_z_grid
+from .spectra import TWO_PI, _log_z_rows, log_z_grid
 
 __all__ = [
     "CombinationEnsemble",
@@ -39,6 +40,8 @@ __all__ = [
 # identically zero (exact cancellation up to rounding).
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-10
+# How far (in radians, mod 2pi) a spectrum's determinant phase may sit from 0.
+_DET_ONE_TOL = 1e-6
 # Largest N the root oracle accepts: np.roots costs O(N^3), about 1.3 s at
 # N = 512, where roots on the circle still sit within 2e-14 of it.
 ORACLE_MAX_DIM = 512
@@ -77,25 +80,42 @@ class CombinationEnsemble:
         for j, spec in enumerate(self.spectra):
             # distance of det phase to 0 mod 2pi
             off = abs(spec.det_phase - TWO_PI * round(spec.det_phase / TWO_PI))
-            if off > 1e-6:
+            if off > _DET_ONE_TOL:
                 raise InvalidEnsembleError(
                     f"spectrum {j} has determinant phase {spec.det_phase:.3e}, need det 1"
                 )
         self.angles = np.stack([spec.angles for spec in self.spectra])
 
 
-def _rotation_values(ens: CombinationEnsemble, thetas):
-    """(G values, scale values) at thetas (a scalar or an array).
+def _rotation_rows(coefficients: np.ndarray, angles: np.ndarray, points: np.ndarray):
+    """G of a stack at its own points, shape (S, P), and the moduli |Z_j|.
 
-    G = Re[rot * sum b_j Z_j] with rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2},
-    taken term by term as b_j |Z_j| cos(Im log Z_j + N(pi+theta)/2);
-    scale = sum |b_j| |Z_j| bounds |F| and calibrates the degeneracy floor.
+    ``angles`` has shape (S, T, N) and ``points`` shape (S, P): row s is
+    taken on the spectra angles[s] at points[s], by one kernel call, and
+    the moduli have shape (S, T, P).  G = Re[rot * sum b_j Z_j] with
+    rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2}, taken term by term as
+    b_j |Z_j| cos(Im log Z_j + N(pi+theta)/2).
     """
-    re, im = log_z_grid(ens.angles, thetas)
+    points = points[:, None, :]
+    re, im = _log_z_rows(angles, points)
     moduli = np.exp(re)
-    g = ens.coefficients @ (moduli * np.cos(im + 0.5 * ens.dim * (np.pi + thetas)))
-    scale = np.abs(ens.coefficients) @ moduli
-    return g, scale
+    g = coefficients @ (moduli * np.cos(im + 0.5 * angles.shape[-1] * (np.pi + points)))
+    return g, moduli
+
+
+def _rotation_at(coefficients, angles, row, thetas) -> np.ndarray:
+    """G at each of the flat points ``thetas``, on the spectra of its ``row``.
+
+    The points come grouped by row.  Each row's points fill one row of a
+    zero-padded (rows, widest) array, so a single kernel call takes them all.
+    """
+    counts = np.bincount(row, minlength=len(angles))
+    active = counts > 0
+    slot = (np.cumsum(active) - 1)[row]
+    col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    points = np.zeros((np.count_nonzero(active), counts.max()))
+    points[slot, col] = thetas
+    return _rotation_rows(coefficients, angles[active], points)[0][slot, col]
 
 
 def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
@@ -104,69 +124,113 @@ def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
     For det-1 spectra each term's phase Im log Z_j + N(pi+theta)/2 is a
     multiple of pi, so G is real by construction.
     """
-    g, _ = _rotation_values(ens, float(theta))
-    return float(g)
+    g, _ = _rotation_rows(ens.coefficients, ens.angles[None], np.array([[float(theta)]]))
+    return float(g[0, 0])
 
 
-def sign_changes(ens: CombinationEnsemble, grid_factor: int = 8, max_refine: int = 20) -> int:
+def _stack(ens) -> tuple[np.ndarray, np.ndarray]:
+    """The validated (coefficients (T,), det-1 angles (S, T, N)) of a stack."""
+    coefficients, angles = (np.asarray(part, dtype=np.float64) for part in ens)
+    if coefficients.ndim != 1 or len(coefficients) < 1:
+        raise InvalidEnsembleError("need at least one coefficient")
+    if np.any(coefficients == 0.0) or not np.all(np.isfinite(coefficients)):
+        raise InvalidEnsembleError("all coefficients must be nonzero finite reals")
+    if angles.ndim != 3 or angles.shape[1] != len(coefficients) or angles.shape[2] < 1:
+        raise InvalidEnsembleError(
+            f"need angles of shape (S, {len(coefficients)}, N), got {angles.shape}"
+        )
+    turns = np.sum(angles, axis=-1) / TWO_PI
+    if not np.all(np.abs(turns - np.round(turns)) * TWO_PI <= _DET_ONE_TOL):
+        raise InvalidEnsembleError("every spectrum needs det 1: angle sums must be 0 mod 2pi")
+    return coefficients, angles
+
+
+def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     """Lower bound for the number of zeros of F on the unit circle.
 
-    Evaluates G on grid_factor*N uniform nodes plus every eigenangle of
-    every spectrum; exact zeros at nodes (e.g. eigenangles of an n=1
-    ensemble) are removed from the sign sequence.  Every bracket between
-    consecutive nodes, and the wrap bracket closed with
+    ``ens`` is a CombinationEnsemble, giving an int, or a stack of S
+    ensembles that share their coefficients, given as the pair
+    (coefficients (T,), det-1 eigenangles (S, T, N)), giving S counts.
+    Each ensemble evaluates G on grid_factor*N uniform nodes plus every
+    eigenangle of every spectrum; exact zeros at nodes (e.g. eigenangles of
+    an n=1 ensemble) are removed from the sign sequence.  Every bracket
+    between consecutive nodes, and the wrap bracket closed with
     G(theta + 2pi) = (-1)^N G(theta), is then refined level by level: one
-    kernel call per level (at most ``max_refine``) evaluates all live
-    midpoints.  A midpoint where G is exactly 0 ends its bracket and counts
-    the endpoint flip (a tangency adds no sign change); otherwise a half is
-    kept if it flips sign or the midpoint dips below both endpoint
-    magnitudes, which flags a possible pair of zeros.  Each bracket left
-    flipping after the last level counts one.  The halves are disjoint, so
-    the total is a valid lower bound.
+    kernel call per level (at most ``max_refine``) evaluates the live
+    midpoints of every ensemble of the stack.  A midpoint where G is exactly
+    0 ends its bracket and counts the endpoint flip (a tangency adds no sign
+    change); otherwise a half is kept if it flips sign or the midpoint dips
+    below both endpoint magnitudes, which flags a possible pair of zeros.
+    Each bracket left flipping after the last level counts one.  The halves
+    are disjoint, so the total is a valid lower bound.  An ensemble that is
+    numerically zero on its nodes, or nonzero on fewer than two, is
+    degenerate: a single ensemble raises DegenerateCombinationError, and a
+    stack reports -1 in its row.
     """
     if not isinstance(grid_factor, (int, np.integer)) or grid_factor < 1:
         raise InvalidArgumentError(f"grid_factor must be a positive integer, got {grid_factor!r}")
     if not isinstance(max_refine, (int, np.integer)) or max_refine < 0:
         raise InvalidArgumentError(f"max_refine must be >= 0, got {max_refine!r}")
-    n_dim = ens.dim
+    single = isinstance(ens, CombinationEnsemble)
+    coefficients, angles = (ens.coefficients, ens.angles[None]) if single else _stack(ens)
+    n_rows, _, n_dim = angles.shape
     base = np.arange(grid_factor * n_dim) * (TWO_PI / (grid_factor * n_dim))
-    nodes = np.unique(np.concatenate([base] + [spec.angles for spec in ens.spectra]))
-    g, scale = _rotation_values(ens, nodes)
-    floor = _DEGENERATE_TOL * np.maximum(scale, 1e-300)
-    if np.all(np.abs(g) <= floor):
-        raise DegenerateCombinationError(
-            "combination is numerically zero on the whole grid (sum b_j Phi_j cancels)"
-        )
+    nodes = np.sort(np.concatenate(
+        [np.broadcast_to(base, (n_rows, base.size)), angles.reshape(n_rows, -1)], axis=1
+    ), axis=1)
+    g, moduli = _rotation_rows(coefficients, angles, nodes)
+    # sum |b_j| |Z_j| bounds |F| and calibrates the degeneracy floor
+    scale = np.abs(coefficients) @ moduli
+    degenerate = np.all(np.abs(g) <= _DEGENERATE_TOL * np.maximum(scale, 1e-300), axis=1)
+    # a row's nodes as np.unique gives them (the first of each run of equal
+    # nodes), less the exact zeros of G
     keep = g != 0.0
-    nodes, g = nodes[keep], g[keep]
-    if len(nodes) < 2:
-        raise DegenerateCombinationError("fewer than two nonzero grid values")
+    keep[:, 1:] &= nodes[:, 1:] != nodes[:, :-1]
+    degenerate |= np.count_nonzero(keep, axis=1) < 2
+    keep[degenerate] = False
+    # live brackets (a, G(a), b, G(b), row), grouped by row: consecutive
+    # nodes, then each row's wrap from its last node to its first
+    row, col = np.nonzero(keep)
+    a, ga = nodes[row, col], g[row, col]
+    per_row = np.count_nonzero(keep, axis=1)[~degenerate]
+    last = np.cumsum(per_row) - 1
+    first = last - per_row + 1
+    after = np.arange(1, row.size + 1)
+    after[last] = first
+    b, gb = a[after], ga[after]
+    b[last] += TWO_PI
     odd = n_dim % 2 == 1
-    # live brackets (a, G(a), b, G(b)): consecutive nodes, then the wrap
-    a, ga = nodes, g
-    b = np.append(nodes[1:], nodes[0] + TWO_PI)
-    gb = np.append(g[1:], -g[0] if odd else g[0])
-    total = 0
+    if odd:
+        gb[last] = -gb[last]
+    total = np.zeros(n_rows, dtype=np.intp)
     for _ in range(max_refine):
         if a.size == 0:
             break
         mid = 0.5 * (a + b)
         wrapped = mid >= TWO_PI
-        gm, _ = _rotation_values(ens, np.where(wrapped, mid - TWO_PI, mid))
+        gm = _rotation_at(coefficients, angles, row, np.where(wrapped, mid - TWO_PI, mid))
         if odd:
             gm = np.where(wrapped, -gm, gm)
         zero = gm == 0.0
-        total += int(np.count_nonzero(zero & ((ga > 0.0) != (gb > 0.0))))
+        total += np.bincount(row[zero & ((ga > 0.0) != (gb > 0.0))], minlength=n_rows)
         dip = (np.abs(gm) < np.abs(ga)) & (np.abs(gm) < np.abs(gb))
         left = ~zero & (((ga > 0.0) != (gm > 0.0)) | dip)
         right = ~zero & (((gm > 0.0) != (gb > 0.0)) | dip)
-        a, ga, b, gb = (
-            np.concatenate([a[left], mid[right]]),
-            np.concatenate([ga[left], gm[right]]),
-            np.concatenate([mid[left], b[right]]),
-            np.concatenate([gm[left], gb[right]]),
+        # a bracket's kept halves take its place, so rows stay grouped
+        halves = np.stack([left, right], axis=1)
+        pairs = np.array([[a, mid], [ga, gm], [mid, b], [gm, gb]]).transpose(0, 2, 1)
+        a, ga, b, gb = pairs[:, halves]
+        row = np.repeat(row, np.count_nonzero(halves, axis=1))
+    total += np.bincount(row[(ga > 0.0) != (gb > 0.0)], minlength=n_rows)
+    total[degenerate] = -1
+    if not single:
+        return total
+    if degenerate[0]:
+        raise DegenerateCombinationError(
+            "combination is numerically zero on the grid (sum b_j Phi_j cancels), "
+            "or nonzero at fewer than two nodes"
         )
-    return total + int(np.count_nonzero((ga > 0.0) != (gb > 0.0)))
+    return int(total[0])
 
 
 @dataclass

@@ -8,12 +8,14 @@ of a job draws from the stream keyed by (seed, group, b), so the stream of
 every row is a pure function of (seed, group, block, offset), and a failing
 sample is replayed by evaluating its block alone.  The log Z runners
 (``moments``, ``clt``, ``tails``, ``oscillation``) and the dense runners
-(``traces``, ``gaps``) take up to 256 rows per block, a number fixed by N
-alone (see ``_block_rows``).  A log Z block runs the Szego recursion over
-all its rows at once; a dense block draws its matrices as one stacked
-reflection product and takes their certified spectra with one
-``eigenangles`` call (Cayley transform, ``eigh`` and Rayleigh quotients).
-``fraction`` and ``carrier`` take one row per block, a stream per sample.
+(``traces``, ``gaps``, ``fraction``, ``carrier``) take up to 256 rows per
+block, a number fixed by N and the term count alone (see ``_block_rows``).
+A log Z block runs the Szego recursion over all its rows at once; a dense
+block draws its matrices as one stacked reflection product and takes their
+certified spectra with one ``eigenangles`` call (Cayley transform, ``eigh``
+and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
+the sign changes of all its ensembles with one stacked ``sign_changes``
+call, whose level loop refines every bracket of the block at once.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -50,8 +52,8 @@ from .errors import (
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI, _SINGULAR_TOL, _check_regular, _szego, eigenangles, log_z_from_chain, log_z_grid,
-    log_z_verblunsky,
+    TWO_PI, _SINGULAR_TOL, EigenangleSpectrum, _check_regular, _szego, eigenangles,
+    log_z_from_chain, log_z_grid, log_z_verblunsky,
 )
 from .specfun import (
     EULER_GAMMA, expected_narrow_pairs, f_mu, joint_mgf_rhs, oscillation_variance_exact,
@@ -179,11 +181,13 @@ def _stream(seed: int, group: int, block: int) -> RngStream:
 
 
 def _block_rows(size: int, budget: int = _BLOCK_COEFFS) -> int:
-    """Rows per block when a row holds ``size`` numbers: a function of N alone.
+    """Rows per block when a row holds ``size`` numbers.
 
     The log Z runners pass N coefficients against the 2^21 budget, the
-    dense runners N^2 entries against ``_BLOCK_ENTRIES``: 32 rows at N = 32,
-    256 at N <= 11 and one from N = 129 on.
+    dense runners N^2 entries per matrix against ``_BLOCK_ENTRIES``: 32 rows
+    at N = 32, 256 at N <= 11 and one from N = 129 on.  ``fraction`` and
+    ``carrier`` draw T matrices per row and pass T N^2: with T = 2, 64 rows
+    at N = 16 and 4 at N = 64.  The count is a function of N and T alone.
     """
     return max(1, min(_BLOCK_MAX_ROWS, budget // size))
 
@@ -325,20 +329,39 @@ class _Report:
 # fraction of zeros on the circle
 
 
-def _sample_fraction(gen, _count, payload):
+def _su_spectra(gen, count: int, dim: int, n_terms: int) -> np.ndarray:
+    """Certified spectra of ``count`` samples of ``n_terms`` Haar SU(dim) draws.
+
+    One stacked draw of count x n_terms matrices, sample by sample, and one
+    ``eigenangles`` call; the result has shape (count, n_terms, dim).
+    """
+    u, _ = haar_special_unitary(dim, 0.0, gen, count * n_terms)
+    return eigenangles(u).reshape(count, n_terms, dim)
+
+
+def _ensemble(coeffs: np.ndarray, angles: np.ndarray) -> CombinationEnsemble:
+    """The ensemble of one sample's (n_terms, dim) angles; checks det 1 again."""
+    return CombinationEnsemble(coeffs, [EigenangleSpectrum.from_angles(a) for a in angles])
+
+
+def _sample_fraction(gen, count, payload) -> np.ndarray:
+    """(circle fraction, audit, lower-bound flags) of ``count`` ensembles.
+
+    The block's sign changes come from one stacked count; the root oracle
+    runs per ensemble.  A degenerate ensemble is a NaN row.
+    """
     dim, grid_factor, coeffs = payload
-    specs = tuple(
-        eigenangles(haar_special_unitary(dim, 0.0, gen)[0]) for _ in coeffs
-    )
-    ens = CombinationEnsemble(np.asarray(coeffs, dtype=float), specs)
-    try:
-        changes = sign_changes(ens, grid_factor=grid_factor)
-        count = circle_root_count(roots_oracle(ens))
-    except DegenerateCombinationError:
-        return (math.nan,) * 3
-    audit = 1.0 if changes == count else 0.0
-    lower = 1.0 if changes <= count else 0.0
-    return (float(count) / dim, audit, lower)
+    coeffs = np.asarray(coeffs, dtype=float)
+    angles = _su_spectra(gen, count, dim, len(coeffs))
+    changes = sign_changes((coeffs, angles), grid_factor=grid_factor)
+    out = np.full((count, 3), math.nan)
+    for i in np.flatnonzero(changes >= 0):
+        try:
+            roots = circle_root_count(roots_oracle(_ensemble(coeffs, angles[i])))
+        except DegenerateCombinationError:
+            continue
+        out[i] = (roots / dim, changes[i] == roots, changes[i] <= roots)
+    return out
 
 
 def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
@@ -356,7 +379,8 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
             raise InvalidConfigError(f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}")
     fractions, degenerate = [], {}
     jobs = [
-        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients), 1)
+        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients),
+         _block_rows(cfg.n_matrices * dim * dim, _BLOCK_ENTRIES))
         for group, dim in enumerate(cfg.dims)
     ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
@@ -738,12 +762,26 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
 # carrier-wave diagnostics
 
 
-def _sample_carrier(gen, _count, payload):
+def _sample_carrier(gen, count, payload) -> list:
+    """The carrier diagnostics of ``count`` ensembles, one row each.
+
+    The block's sign changes come from one stacked count; a degenerate
+    ensemble is a NaN row, and every other row is reduced on its own.
+    """
     dim, coeffs, k_div, delta, grid_factor = payload
-    specs = tuple(
-        eigenangles(haar_special_unitary(dim, 0.0, gen)[0]) for _ in coeffs
-    )
-    ens = CombinationEnsemble(np.asarray(coeffs, dtype=float), specs)
+    coeffs = np.asarray(coeffs, dtype=float)
+    angles = _su_spectra(gen, count, dim, len(coeffs))
+    measured = sign_changes((coeffs, angles), grid_factor=grid_factor)
+    return [
+        _carrier_row(_ensemble(coeffs, sample), k_div, delta, int(changes))
+        if changes >= 0 else (math.nan,) * 7
+        for sample, changes in zip(angles, measured)
+    ]
+
+
+def _carrier_row(ens: CombinationEnsemble, k_div, delta, measured: int) -> tuple:
+    """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds)."""
+    dim = ens.dim
     config = subdivision(dim, k_div, delta, ens)
     delta_eff = config.delta
     grid = 64 * dim
@@ -786,10 +824,6 @@ def _sample_carrier(gen, _count, payload):
         inside = relative[relative < arc]
         psi = int(np.count_nonzero(np.diff(inside) <= threshold)) if inside.size > 1 else 0
         bound += max(0, inside.size - 2 - 2 * psi)
-    try:
-        measured = sign_changes(ens, grid_factor=grid_factor)
-    except DegenerateCombinationError:
-        return (math.nan,) * 7
     holds = 1.0 if bound <= measured else 0.0
     return (lam, lam_half, monotone, stability, float(bound), float(measured), holds)
 
@@ -806,7 +840,8 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     dim = _one_dim(cfg)
     subdivision(dim, cfg.subdivisions, cfg.delta)  # rejects N < 4 and K out of range
     payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
-    (data,) = _collect(cfg, [(_sample_carrier, 0, payload, 1)])
+    rows = _block_rows(cfg.n_matrices * dim * dim, _BLOCK_ENTRIES)
+    (data,) = _collect(cfg, [(_sample_carrier, 0, payload, rows)])
     kept, excluded = _drop_degenerate(data, dim)
     for col, label in (
         (0, "lambda exceptional delta"),
@@ -879,13 +914,9 @@ def run_selftest(cfg: ExperimentConfig) -> ResultRecord:
     report.value("moment formula gap at (2,0,8)", gap)
     report.check("moment formula value", gap < 1e-9, f"gap {gap:.2e}")
 
-    # A single characteristic polynomial has all zeros on the circle.
-    all_n = True
-    for _ in range(5):
-        spec = eigenangles(haar_special_unitary(8, 0.0, gen)[0])
-        ens = CombinationEnsemble(np.array([1.0]), (spec,))
-        if sign_changes(ens) != 8:
-            all_n = False
+    # A single characteristic polynomial has all zeros on the circle.  Its
+    # eigenangles are nodes where G is exactly 0, which the count drops.
+    all_n = bool(np.all(sign_changes((np.ones(1), _su_spectra(gen, 5, 8, 1))) == 8))
     report.value("single-wave count is N", 1.0 if all_n else 0.0, 5)
     report.check("single-wave zero count", all_n, "sign changes == N")
 

@@ -144,7 +144,7 @@ class ReflectionChain:
 
 def _reflection_gamma(x: np.ndarray) -> complex:
     """gamma = 1 - conj(<x, e_j>), the pivot of the rank-one update."""
-    return 1.0 - np.conj(x[-1])
+    return 1.0 - np.conj(x[..., -1])
 
 
 def reflection_matrix(x: np.ndarray) -> UnitaryMatrix:
@@ -170,18 +170,19 @@ def reflection_matrix(x: np.ndarray) -> UnitaryMatrix:
     return UnitaryMatrix(eye - np.outer(u, u.conj()) / gamma, j)
 
 
-def reflection_determinant(x: np.ndarray) -> complex:
+def reflection_determinant(x: np.ndarray):
     """det R(x), a unit-modulus number: -conj(gamma)/gamma, or 1 if x = e_j.
 
     Only the last component of x enters.  This is the closed form of the
     determinant of the rank-one update; it is unit-tested against dense
-    determinants of `reflection_matrix`.
+    determinants of `reflection_matrix`.  A vector gives a complex; a
+    stack of n vectors, shape (n, j), gives their (n,) determinants.
     """
     x = np.asarray(x, dtype=np.complex128)
     gamma = _reflection_gamma(x)
-    if gamma == 0:
-        return 1.0 + 0.0j
-    return complex(-np.conj(gamma) / gamma)
+    fixed = gamma == 0
+    det = np.where(fixed, 1.0, -np.conj(gamma) / np.where(fixed, 1.0, gamma))
+    return complex(det) if x.ndim == 1 else det
 
 
 def _apply_chain(vectors: list) -> np.ndarray:
@@ -285,32 +286,49 @@ def haar_unitary(N: int, rng, n: int | None = None):
     return _apply_chain(chain.vectors), chain
 
 
-def _forced_first_vector(vectors: list, N: int, theta: float) -> np.ndarray:
-    """The x_1 that pins det U = e^{iN theta} given x_2..x_N.
+def _forced_first_vector(vectors: list, N: int, theta: float, n: int | None = None) -> np.ndarray:
+    """The x_1 that pins det U = e^{iN theta} given x_2..x_N, row by row.
 
     det U = x_1 * prod_{j>=2} det R(x_j), and every factor has unit modulus,
-    so x_1 = e^{iN theta} * prod conj(det R(x_j)).
+    so x_1 = e^{iN theta} * prod conj(det R(x_j)), normalized against drift
+    in long products.  ``vectors`` hold one chain's x_j, shape (j,), giving
+    shape (1,), or n chains' x_j, shape (n, j), giving (n, 1).  The product
+    runs factor by factor in real arithmetic, which rounds as numpy's
+    complex scalar multiply does; its SIMD array multiply can differ in the
+    last bit.
     """
+    rows = 1 if n is None else n
     phase = complex(np.exp(1j * N * theta))
+    re, im = np.full(rows, phase.real), np.full(rows, phase.imag)
     for x in vectors:
-        phase *= np.conj(reflection_determinant(x))
-    # Guard against drift in long products; the result must be unimodular.
-    return np.array([phase / abs(phase)], dtype=np.complex128)
+        det = np.reshape(reflection_determinant(x), rows)
+        re, im = re * det.real + im * det.imag, im * det.real - re * det.imag
+    scale = 1.0 / np.hypot(re, im)
+    first = np.empty((rows, 1), dtype=np.complex128)
+    first.real[:, 0], first.imag[:, 0] = re * scale, im * scale
+    return first[0] if n is None else first
 
 
-def haar_special_unitary(N: int, theta: float, rng) -> tuple[UnitaryMatrix, ReflectionChain]:
+def haar_special_unitary(N: int, theta: float, rng, n: int | None = None):
     """Sample the Haar-type measure on {U : det U = e^{iN theta}}.
 
     x_2..x_N are independent uniform sphere vectors and x_1 is the
     determinant-forced phase; theta = 0 gives Haar measure on SU(N).
+    Returns ``(UnitaryMatrix, ReflectionChain)``.  With ``n`` set it returns
+    the (n, N, N) array of n matrices and their stacked chain instead: one
+    Gaussian block gives every row's x_2..x_N, each row's x_1 is forced
+    from that row's determinants, and matrix i equals the i-th of n
+    consecutive single draws from the same generator.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise InvalidDimensionError(f"N must be a positive integer, got {N!r}")
+    _check_rows(n)
     gen = _generator(rng)
-    tail = _gaussian_block(gen, range(2, N + 1))
-    first = _forced_first_vector(tail, N, float(theta))
-    chain = ReflectionChain([first] + tail)
-    return chain_to_matrix(chain), chain
+    tail = _gaussian_block(gen, range(2, N + 1), n)
+    chain = ReflectionChain([_forced_first_vector(tail, N, float(theta), n)] + tail)
+    if n is None:
+        return chain_to_matrix(chain), chain
+    return _apply_chain(chain.vectors), chain
 
 
 def coupled_chain_pair(N: int, theta: float, rng) -> tuple[ReflectionChain, ReflectionChain]:

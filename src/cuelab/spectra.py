@@ -250,16 +250,30 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     """
     angles = np.asarray(angles, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
+    re, im = _log_z_rows(angles, thetas.ravel())
+    shape = angles.shape[:-1] + thetas.shape
+    return re.reshape(shape), im.reshape(shape)
+
+
+def _log_z_rows(angles: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_z_grid`'s kernel, on either of two layouts of the points.
+
+    Points of shape (P,) are shared by every spectrum of ``angles``, shape
+    (..., N), giving (..., P); points of shape (S, 1, P) belong to row s of
+    a stack of angles of shape (S, T, N), giving (S, T, P).  One blocked
+    loop serves both, with the points' last axis walked in blocks.
+    """
     n_dim = angles.shape[-1]
     # halving is exact, so half differences keep every Sterbenz-exact digit
     half_angles = 0.5 * np.mod(angles, TWO_PI)
-    half_points = 0.5 * np.mod(thetas.ravel(), TWO_PI)
-    re = np.empty(angles.shape[:-1] + half_points.shape)
+    half_points = 0.5 * np.mod(points, TWO_PI)
+    n_points = half_points.shape[-1]
+    re = np.empty(np.broadcast_shapes(angles.shape[:-1], half_points.shape[:-1]) + (n_points,))
     below = np.empty(re.shape, dtype=np.intp)
     step = max(1, _GRID_BLOCK // max(1, angles.size))
     with np.errstate(divide="ignore"):
-        for lo in range(0, len(half_points), step):
-            d = half_angles[..., :, None] - half_points[lo:lo + step]
+        for lo in range(0, n_points, step):
+            d = half_angles[..., :, None] - half_points[..., None, lo:lo + step]
             np.add.reduce(d < 0.0, axis=-2, out=below[..., lo:lo + step])
             np.sin(d, out=d)
             np.abs(d, out=d)
@@ -268,8 +282,7 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     re += n_dim * np.log(2.0)
     im = np.pi * below
     im += np.add.reduce(half_angles, axis=-1)[..., None] - n_dim * (half_points + 0.5 * np.pi)
-    shape = angles.shape[:-1] + thetas.shape
-    return re.reshape(shape), im.reshape(shape)
+    return re, im
 
 
 def _szego(alphas: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from cuelab.ensembles import (
     sign_changes,
 )
 from cuelab.errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
-from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z, log_z_grid
+from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z
 
 SEED = 271828
 
@@ -278,13 +278,80 @@ def test_sign_changes_counts_are_pinned(n_dim):
 def test_sign_changes_is_level_synchronous(monkeypatch):
     calls = []
 
-    def counting(angles, thetas):
-        calls.append(np.size(thetas))
-        return log_z_grid(angles, thetas)
+    def counting(angles, points):
+        calls.append(np.shape(points))
+        return log_z_rows(angles, points)
 
-    monkeypatch.setattr(cuelab.ensembles, "log_z_grid", counting)
+    log_z_rows = cuelab.ensembles._log_z_rows
+    monkeypatch.setattr(cuelab.ensembles, "_log_z_rows", counting)
     ens = make_ens([1.0, 1.0], 64, salt=18)
+    angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
+    stack = (ens.coefficients, angles)
     for max_refine in (0, 5, 20):
         calls.clear()
         sign_changes(ens, max_refine=max_refine)
         assert 1 <= len(calls) <= max_refine + 1
+        # a whole stack of ensembles takes no more calls than one ensemble
+        calls.clear()
+        sign_changes(stack, max_refine=max_refine)
+        assert 1 <= len(calls) <= max_refine + 1
+        assert calls[0] == (6, 1, 8 * 64 + 2 * 64)
+
+
+def ragged_stack(coeffs, n_dim, salt):
+    """Ensembles of one stack, whose rows have different node sets.
+
+    Four Haar rows; a row whose spectra all hold the exact angle 0, a grid
+    node where G is then exactly 0; and, with two terms, a row of two
+    identical spectra, which b = (1, -1) cancels.  A single term is 0 at
+    every eigenangle.
+    """
+    g = RngStream(SEED, salt).generator()
+
+    def draw(dim):
+        return eigenangles(haar_special_unitary(dim, 0.0, g)[0])
+
+    rows = [[draw(n_dim) for _ in coeffs] for _ in range(4)]
+    rows.append([EigenangleSpectrum.from_angles(np.append(0.0, draw(n_dim - 1).angles))
+                 for _ in coeffs])
+    if len(coeffs) == 2:
+        rows.append([rows[0][0]] * 2)
+    return [CombinationEnsemble(np.array(coeffs), specs) for specs in rows]
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0,)])
+@pytest.mark.parametrize("n_dim", [7, 16])
+def test_stacked_sign_changes_equal_per_ensemble_counts(coeffs, n_dim):
+    cases = ragged_stack(coeffs, n_dim, salt=19 + n_dim)
+    assert real_rotation(cases[4], 0.0) == 0.0
+    stack = (np.array(coeffs), np.stack([ens.angles for ens in cases]))
+    for grid_factor in (1, 8):
+        for max_refine in (0, 1, 20):
+            expected = []
+            for ens in cases:
+                try:
+                    expected.append(sign_changes(ens, grid_factor, max_refine))
+                except DegenerateCombinationError:
+                    expected.append(-1)
+            counts = sign_changes(stack, grid_factor, max_refine)
+            assert counts.tolist() == expected, (grid_factor, max_refine)
+    counts = sign_changes(stack)
+    if len(coeffs) == 2:
+        assert counts[-1] == -1 and np.all(counts[:-1] >= 0)
+    else:
+        assert counts.tolist() == [n_dim] * len(cases)
+
+
+def test_stacked_sign_changes_validate_the_stack():
+    angles = np.stack([make_ens([1.0, 1.0], 8, salt=21).angles])
+    assert sign_changes((np.array([1.0, 1.0]), angles)).shape == (1,)
+    with pytest.raises(InvalidEnsembleError):
+        sign_changes((np.array([1.0, 0.0]), angles))
+    with pytest.raises(InvalidEnsembleError):
+        sign_changes((np.array([1.0, 1.0, 1.0]), angles))
+    with pytest.raises(InvalidEnsembleError):
+        sign_changes((np.array([1.0, 1.0]), angles[0]))
+    shifted = angles.copy()
+    shifted[0, 1, 0] += 0.1
+    with pytest.raises(InvalidEnsembleError, match="det 1"):
+        sign_changes((np.array([1.0, 1.0]), shifted))

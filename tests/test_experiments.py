@@ -19,7 +19,6 @@ from cuelab import cli, experiments
 from cuelab.cli import main as cli_main
 from cuelab.errors import (
     CuelabError,
-    DegenerateCombinationError,
     InvalidConfigError,
     NumericalFailureError,
 )
@@ -148,14 +147,15 @@ def test_single_dim_runners_reject_several_dims(monkeypatch, capsys):
 
 
 def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
+    # the stacked count marks a degenerate row -1; the wrapper marks every third row
     real = experiments.sign_changes
-    calls = []
+    seen = []
 
-    def every_third_degenerate(ens, **kwargs):
-        calls.append(1)
-        if len(calls) % 3 == 0:
-            raise DegenerateCombinationError("identically vanishing combination")
-        return real(ens, **kwargs)
+    def every_third_degenerate(stack, **kwargs):
+        counts = real(stack, **kwargs)
+        rows = len(seen) + np.arange(len(counts))
+        seen.extend(rows)
+        return np.where(rows % 3 == 2, -1, counts)
 
     monkeypatch.setattr(experiments, "sign_changes", every_third_degenerate)
     cases = [
@@ -163,14 +163,15 @@ def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
         (run_carrier_diagnostics, dict(experiment="carrier", dims=(16,), delta=0.2), 3),
     ]
     for runner, base, excluded in cases:
-        calls.clear()
+        seen.clear()
         rec = runner(ExperimentConfig(**base, samples=9, seed=2, workers=1))
+        assert len(seen) == 9
         assert rec.parameters["degenerate_excluded"] == excluded
         # every row of these two records is a Monte Carlo estimate
         assert rec.estimates and all(row.n == 9 - 3 for row in rec.estimates)
 
-    def always_degenerate(ens, **kwargs):
-        raise DegenerateCombinationError("identically vanishing combination")
+    def always_degenerate(stack, **kwargs):
+        return np.full(len(stack[1]), -1)
 
     monkeypatch.setattr(experiments, "sign_changes", always_degenerate)
     for runner, base, _ in cases:
@@ -205,6 +206,8 @@ def test_records_identical_for_any_worker_count():
         (run_tail_checks, dict(experiment="tails", dims=(8, 16), samples=40, seed=4)),
         (run_fraction_on_circle, dict(experiment="fraction", dims=(8, 12), samples=12, seed=5)),
         (run_clt_check, dict(experiment="clt", dims=(64, 128), samples=200, seed=6)),
+        # two blocks: 64 rows and 6 at N = 16 with two terms
+        (run_carrier_diagnostics, dict(experiment="carrier", dims=(16,), samples=70, seed=10)),
     ],
 )
 def test_multi_job_records_identical_for_any_worker_count(runner, base):

@@ -174,6 +174,29 @@ def test_stacked_dense_draws_rows_equal_sequential_draws():
             haar_unitary_qr_oracle(4, gen(), bad)
 
 
+def test_stacked_special_unitary_rows_equal_sequential_draws():
+    # every row's chain, forced x_1 included, is bit-equal to its single
+    # draw; the matrices agree as the stacked and single products do
+    for n_dim in (1, 2, 16, 37, 64):
+        for theta in (0.0, 0.7):
+            stacked, sequential = gen(70 + n_dim), gen(70 + n_dim)
+            block, chain = haar_special_unitary(n_dim, theta, stacked, 5)
+            assert block.shape == (5, n_dim, n_dim)
+            assert [x.shape for x in chain.vectors] == [(5, j) for j in range(1, n_dim + 1)]
+            for i in range(5):
+                u, single = haar_special_unitary(n_dim, theta, sequential)
+                for x, y in zip(chain.vectors, single.vectors):
+                    np.testing.assert_array_equal(x[i], y)
+                assert np.abs(block[i] - u.entries).max() <= 1e-13
+            assert stacked.random() == sequential.random()
+            if theta:
+                dets = np.linalg.det(block)
+                assert np.abs(dets - np.exp(1j * n_dim * theta)).max() <= 1e-12
+    for bad in (0, -1, 2.5):
+        with pytest.raises(InvalidArgumentError):
+            haar_special_unitary(4, 0.3, gen(), bad)
+
+
 def test_qr_oracle_is_unitary_with_unimodular_det():
     g = gen(12)
     u = haar_unitary_qr_oracle(11, g)
