@@ -9,13 +9,24 @@ G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real trigonometric
 polynomial whose sign changes lower-bound the number of zeros of F on the
 unit circle.  This module provides G, a sign-change counter that refines
 all its brackets level by level (one kernel call per bisection level, for
-one ensemble or a whole stack of them), and an independent oracle:
+one ensemble or a whole stack of them) and drops each bracket whose count
+Bernstein's inequality already fixes, and an independent oracle:
 companion-matrix roots of the polynomial whose coefficients come from an
 FFT of F sampled on the circle.  Both routes take every Z_j from the
 kernel of :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F
 stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
 with c_j = #{theta_jk < theta}, term j of G has the sign of
 b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.
+
+G has frequencies -N/2..N/2 in theta, so Bernstein's inequality bounds
+every derivative by the maximum: sup|G^(k)| <= (N/2)^k M.  On a grid of
+spacing 2pi/(gN), g >= 2, the same inequality gives
+M = max over the nodes of (|G| + e) / (1 - pi/(2g)), where e bounds the
+rounding of the computed G.  If a bracket [a, b] of width w held k zeros
+of G, interpolation at them would give |G| <= M (N/2)^k w^k / k! all over
+[a, b].  So an endpoint magnitude above that bound, less e, leaves fewer
+than k zeros there, also for G shifted by any constant below e; the count
+of such a bracket is settled before it is bisected any further.
 """
 
 from __future__ import annotations
@@ -42,6 +53,10 @@ _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-10
 # How far (in radians, mod 2pi) a spectrum's determinant phase may sit from 0.
 _DET_ONE_TOL = 1e-6
+# Rounding slack e of a computed G, relative to the Bernstein bound of
+# sum |b_j| |Z_j|; float64 rounding of the log Z kernel stays below
+# 1e-15 N of it.
+_ROUNDING_SLACK = 1e-8
 # Largest N the root oracle accepts: np.roots costs O(N^3), about 1.3 s at
 # N = 512, where roots on the circle still sit within 2e-14 of it.
 ORACLE_MAX_DIM = 512
@@ -162,7 +177,25 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     change); otherwise a half is kept if it flips sign or the midpoint dips
     below both endpoint magnitudes, which flags a possible pair of zeros.
     Each bracket left flipping after the last level counts one.  The halves
-    are disjoint, so the total is a valid lower bound.  An ensemble that is
+    are disjoint, so the total is a valid lower bound.
+
+    Before each level a bracket whose count is already fixed leaves the
+    loop.  Per ensemble, with q = 1 - pi/(2 grid_factor), the rounding
+    slack is e = 1e-8 sum_j |b_j| max|Z_j| / q and the bound is
+    M = max(|G| + e) / q, both maxima over the nodes.  With w = b - a and
+    m = max(|G(a)|, |G(b)|) - e, a flipping bracket with
+    m > M (N/2)^3 w^3 / 6 counts one, and a steady bracket with
+    m > M (N/2)^2 w^2 / 2 counts none.  By Bernstein's inequality
+    sup|G^(k)| <= (N/2)^k M, and a bracket holding k zeros (with
+    multiplicity) has |G| <= sup|G^(k)| w^k / k! all over it, so the first
+    holds fewer than three zeros, hence exactly one, and the second fewer
+    than two, hence none.  The bound holds for G - c at every |c| < e too,
+    so no shift of G within its rounding slack adds a zero there, and the
+    bisection would have counted the bracket the same way, short of
+    rounding noise at midpoints within e of the one zero, which could only
+    have added spurious pairs.  With grid_factor 1 the node bound does not
+    hold (q < 0) and no bracket leaves early; moduli that overflow make M
+    infinite, with the same effect.  An ensemble that is
     numerically zero on its nodes, or nonzero on fewer than two, is
     degenerate: a single ensemble raises DegenerateCombinationError, and a
     stack reports -1 in its row.
@@ -188,6 +221,11 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     keep[:, 1:] &= nodes[:, 1:] != nodes[:, :-1]
     degenerate |= np.count_nonzero(keep, axis=1) < 2
     keep[degenerate] = False
+    # per row: the rounding slack e and the Bernstein bound M of sup|G|
+    # (1/q, infinite where the node bound fails)
+    factor = 1.0 / (1.0 - np.pi / (2 * grid_factor)) if grid_factor >= 2 else np.inf
+    slack = _ROUNDING_SLACK * factor * (moduli.max(axis=-1) @ np.abs(coefficients))
+    bound = factor * (np.max(np.abs(g), axis=1) + slack)
     # live brackets (a, G(a), b, G(b), row), grouped by row: consecutive
     # nodes, then each row's wrap from its last node to its first
     row, col = np.nonzero(keep)
@@ -204,6 +242,14 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
         gb[last] = -gb[last]
     total = np.zeros(n_rows, dtype=np.intp)
     for _ in range(max_refine):
+        # settled brackets leave: one zero if flipping, none if steady
+        span = 0.5 * n_dim * (b - a)
+        flip = (ga > 0.0) != (gb > 0.0)
+        margin = np.maximum(np.abs(ga), np.abs(gb)) - slack[row]
+        settled = margin > bound[row] * span * span * np.where(flip, span / 6.0, 0.5)
+        total += np.bincount(row[settled & flip], minlength=n_rows)
+        live = ~settled
+        a, ga, b, gb, row = a[live], ga[live], b[live], gb[live], row[live]
         if a.size == 0:
             break
         mid = 0.5 * (a + b)

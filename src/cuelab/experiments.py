@@ -36,6 +36,7 @@ where they are called, so spawn workers start without it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -81,6 +82,10 @@ __all__ = [
 ]
 
 _WORKERS_ENV = "CUELAB_WORKERS"
+# Set to 1 for spawn workers where the caller left them unset: a worker's
+# dense spectra are small stacked matrices, for which more BLAS threads
+# only compete with the other workers for the cores.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _GROUP_SHIFT = 24  # block index occupies the low 24 bits of the child index
 # A log Z block draws at most 2^21 Verblunsky coefficients (about 64 MB of
 # transients at N = 2^16), and a dense block at most 2^15 matrix entries
@@ -212,6 +217,23 @@ def _blocks_eval(fn, seed, group, payload, rows, n_samples, blocks) -> list:
     return out
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set each variable of ``_BLAS_THREADS`` the caller left unset to 1.
+
+    Spawned processes start with the environment of the moment, so a pool
+    started inside runs one BLAS thread per worker; the variables set here
+    are removed again on exit.
+    """
+    unset = [var for var in _BLAS_THREADS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        yield
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
+
+
 def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
     """Evaluate every job ``(fn, group, payload, rows)`` at samples 0..samples-1.
 
@@ -221,7 +243,8 @@ def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
     one worker a single spawn pool takes every job, split into at most
     4 x workers pieces of whole blocks, before any result is awaited; the
     first piece that raises cancels the queued rest and its exception
-    propagates unchanged.  Each block is its own call either way, so no
+    propagates unchanged.  The workers run one BLAS thread each (see
+    ``_one_blas_thread``).  Each block is its own call either way, so no
     row depends on how the blocks were grouped.
     """
     seed, n_samples, workers = cfg.seed, cfg.samples, cfg.resolved_workers()
@@ -232,7 +255,7 @@ def _collect(cfg: ExperimentConfig, jobs) -> list[np.ndarray]:
             for (fn, group, payload, rows), job_blocks in zip(jobs, blocks)
         ]
     ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+    with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         try:
             futures = [
                 [

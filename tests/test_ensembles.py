@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cuelab.ensembles
-from cuelab import RngStream, haar_special_unitary
+from cuelab import RngStream, experiments, haar_special_unitary
 from cuelab.ensembles import (
     CombinationEnsemble,
     circle_root_count,
@@ -355,3 +355,77 @@ def test_stacked_sign_changes_validate_the_stack():
     shifted[0, 1, 0] += 0.1
     with pytest.raises(InvalidEnsembleError, match="det 1"):
         sign_changes((np.array([1.0, 1.0]), shifted))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -1.0), (1.0, 1.0), (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("n_dim", [7, 8, 16, 33, 64])
+def test_bernstein_premises_of_the_early_exit(coeffs, n_dim):
+    # the exit test's bound M: |G| on the 8N nodes bounds G everywhere, and
+    # G' by (N/2) M; odd N takes the wrap G(t + 2pi) = -G(t)
+    g = RngStream(SEED, 22 + n_dim).generator()
+    rows = 8
+    drawn = haar_special_unitary(n_dim, 0.0, g, n=rows * len(coeffs))[0]
+    angles = eigenangles(drawn).reshape(rows, len(coeffs), n_dim)
+    coeffs = np.array(coeffs)
+    nodes = np.arange(8 * n_dim) * (TWO_PI / (8 * n_dim))
+    step = TWO_PI / (64 * n_dim)
+    fine = np.arange(64 * n_dim) * step
+    on_nodes, _ = cuelab.ensembles._rotation_rows(
+        coeffs, angles, np.broadcast_to(nodes, (rows, nodes.size)))
+    on_fine, moduli = cuelab.ensembles._rotation_rows(
+        coeffs, angles, np.broadcast_to(fine, (rows, fine.size)))
+    bound = np.max(np.abs(on_nodes), axis=1) / (1.0 - np.pi / 16)
+    assert np.all(np.max(np.abs(on_fine), axis=1) <= bound)
+    sign = (-1.0) ** n_dim
+    after = np.roll(on_fine, -1, axis=1)
+    after[:, -1] *= sign
+    before = np.roll(on_fine, 1, axis=1)
+    before[:, 0] *= sign
+    slope = np.abs(after - before) / (2 * step)
+    # a central difference is off by at most step^2/6 sup|G'''|, and
+    # rounding of G by 1e-12 sum |b_j| |Z_j| moves it by that over step
+    half = 0.5 * n_dim
+    truncation = step**2 / 6 * half**3 * bound
+    rounding = 1e-12 * np.max(np.abs(coeffs) @ moduli, axis=1) / step
+    assert np.all(np.max(slope, axis=1) <= half * bound + truncation + rounding)
+
+
+def test_settled_brackets_leave_the_level_loop(monkeypatch):
+    # a 6-row N = 64 stack: full bisection of every live bracket to the
+    # 20-level cap evaluated 13,889 midpoints; the exit test leaves 1,811
+    # (13.0%)
+    evaluated = []
+
+    def counting(coefficients, angles, row, thetas):
+        evaluated.append(row.size)
+        return rotation_at(coefficients, angles, row, thetas)
+
+    rotation_at = cuelab.ensembles._rotation_at
+    monkeypatch.setattr(cuelab.ensembles, "_rotation_at", counting)
+    angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
+    sign_changes((np.array([1.0, 1.0]), angles))
+    assert sum(evaluated) <= 0.2 * 13889
+
+
+def close_pair_ensembles():
+    """Ensembles holding a close pair of circle zeros.
+
+    Sample 195 of the N = 64 group of the acceptance suite's fraction
+    fixture (block 48, offset 3 of seed 424242), where the sign scan sees
+    52 of 54 circle roots, and the pinned N = 16 ensembles 152 and 156,
+    whose closest circle roots sit 0.08 mean spacings apart.
+    """
+    gen = experiments._stream(424242, 3, 48).generator()
+    angles = experiments._su_spectra(gen, 4, 64, 2)[3]
+    yield experiments._ensemble(np.array([1.0, 1.0]), angles)
+    pinned = list(pinned_ensembles(16, 157))
+    yield pinned[152]
+    yield pinned[156]
+
+
+def test_sign_changes_on_close_pairs_match_the_reference():
+    expected = [(52, 54), (12, 12), (12, 12)]
+    for ens, (changes, roots) in zip(close_pair_ensembles(), expected):
+        assert circle_root_count(roots_oracle(ens)) == roots
+        assert reference_sign_changes(ens, 8, 20) == changes
+        assert sign_changes(ens) == changes

@@ -320,6 +320,25 @@ def test_one_spawn_pool_per_runner_call(monkeypatch):
             assert len(started) == pools, (base["experiment"], workers)
 
 
+def _blas_threads_seen(gen, count, payload):
+    return [[float(os.environ.get(var, "nan")) for var in payload]] * count
+
+
+def test_spawn_workers_run_one_blas_thread(monkeypatch):
+    # a worker sees 1 for each BLAS thread variable the caller left unset
+    # and the caller's value for the others; afterwards the caller's
+    # environment is as it was
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    cfg = ExperimentConfig(experiment="moments", dims=(2,), samples=4, seed=1, workers=2)
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    (seen,) = experiments._collect(cfg, [(_blas_threads_seen, 0, names, 1)])
+    assert seen.tolist() == [[1.0, 3.0, 1.0]] * 4
+    assert dict(os.environ) == before
+
+
 def test_worker_error_propagates_unchanged(monkeypatch, capsys):
     # the carrier subdivision needs N >= 4; the sample function rejects N = 2.
     # The runner checks that before any draw, so the blocks are collected here.
