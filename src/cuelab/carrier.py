@@ -12,7 +12,8 @@ The L_j functions work on whole batches of points, as the carrier runner
 uses them: :func:`normalized_logs` takes every point in one
 :func:`~cuelab.spectra.log_z_grid` call over all spectra of the ensemble,
 and :func:`exceptional_mask` and :func:`carrier_wave_index` read its
-(n, ...) array.
+(n, ...) array.  A :class:`CarrierWaveConfig` stores N, K, delta and
+theta0; M = N/K and Delta = 2pi/K are computed from them.
 """
 
 from __future__ import annotations
@@ -61,21 +62,15 @@ def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
     :func:`normalized_logs`.  A point is exceptional iff some
     |L_i| >= 1/delta or some pair satisfies |L_i - L_j| <= delta.  Both
     conditions are monotone in delta, so membership is pointwise
-    nondecreasing in delta.
+    nondecreasing in delta.  The closest pair is adjacent once sorted, so
+    only sorted gaps are compared; a nan gap (two -inf terms) is close.
     """
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
-    mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
-    n = logs.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # nan arises only when both terms are -inf (shared eigenangle);
-            # such points are already exceptional via the first condition.
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(logs[i] - logs[j])
-            mask |= np.where(np.isnan(diff), True, diff <= delta)
-    return mask
+    with np.errstate(invalid="ignore"):
+        gaps = np.diff(np.sort(logs, axis=0), axis=0)
+    return np.any(np.abs(logs) >= 1.0 / delta, axis=0) | np.any(~(gaps > delta), axis=0)
 
 
 def carrier_wave_index(logs: np.ndarray) -> np.ndarray:
@@ -93,14 +88,12 @@ class CarrierWaveConfig:
     """Circle subdivision for carrier-wave bookkeeping.
 
     K subintervals of length Delta = 2pi/K starting at theta0; M = N/K is
-    the mean eigenangle count per subinterval.
+    the mean eigenangle count per subinterval; 2 <= K <= N/2 makes M >= 2.
     """
 
     N: int
     K: int
-    M: float
     delta: float
-    Delta: float
     theta0: float
 
     def __post_init__(self):
@@ -108,12 +101,16 @@ class CarrierWaveConfig:
             raise InvalidConfigError(f"N must be a positive integer, got {self.N!r}")
         if not isinstance(self.K, (int, np.integer)) or not (2 <= self.K <= self.N / 2):
             raise InvalidConfigError(f"K must satisfy 2 <= K <= N/2, got K={self.K!r}, N={self.N}")
-        if self.M < 2 or abs(self.M - self.N / self.K) > 1e-12:
-            raise InvalidConfigError(f"M must equal N/K >= 2, got {self.M!r}")
         if not (0.0 < self.delta < 0.25):
             raise InvalidConfigError(f"delta must be in (0, 1/4), got {self.delta!r}")
-        if abs(self.Delta * self.K - TWO_PI) > 1e-12:
-            raise InvalidConfigError("Delta * K must equal 2pi")
+
+    @property
+    def M(self) -> float:
+        return self.N / self.K
+
+    @property
+    def Delta(self) -> float:
+        return TWO_PI / self.K
 
     def theta_k(self, k):
         """Left endpoint of subinterval k (k may equal K: the wrap point).
@@ -192,14 +189,7 @@ def subdivision(
         if ens.dim != n_dim:
             raise InvalidConfigError(f"ensemble dim {ens.dim} != N = {n_dim}")
         theta0 = _select_theta0(ens, int(k_div), delta)
-    return CarrierWaveConfig(
-        N=int(n_dim),
-        K=int(k_div),
-        M=n_dim / int(k_div),
-        delta=delta,
-        Delta=TWO_PI / int(k_div),
-        theta0=theta0,
-    )
+    return CarrierWaveConfig(N=int(n_dim), K=int(k_div), delta=delta, theta0=theta0)
 
 
 def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> float:

@@ -32,7 +32,6 @@ _OPTIONS = {
     "--dims": dict(type=_comma_list(int), help="comma-separated matrix sizes"),
     "--coeffs": dict(type=_comma_list(float), dest="coefficients", metavar="COEFFS",
                      help="comma-separated nonzero combination coefficients"),
-    "--n-matrices": dict(type=int, help="number of matrices (must match --coeffs when both given)"),
     "--grid-factor": dict(type=int, help="sign-scan nodes per unit dimension"),
     "--delta": dict(type=float, help="exceptional-set parameter in (0, 1/4)"),
     "--subdivisions": dict(type=int, help="number K of circle subintervals"),
@@ -43,7 +42,7 @@ _OPTIONS = {
 }
 _SHARED = ("--seed", "--format", "--out")
 _SAMPLED = ("--dims", "--samples")
-_COMBINATION = (*_SAMPLED, "--coeffs", "--n-matrices", "--grid-factor")
+_COMBINATION = (*_SAMPLED, "--coeffs", "--grid-factor")
 
 # Per subcommand: its help line, its own defaults, and the options its
 # runner reads besides _SHARED.  Every other default is ExperimentConfig's:
@@ -92,12 +91,6 @@ def parse_cli(argv) -> ExperimentConfig:
     command = args.pop("command")
     if command is None:
         parser.error("a subcommand is required")
-    n_matrices = args.pop("n_matrices", None)
-    if n_matrices is not None:
-        # --n-matrices alone means "n unit coefficients".
-        coeffs = args.setdefault("coefficients", (1.0,) * n_matrices)
-        if n_matrices != len(coeffs):
-            parser.error(f"--n-matrices {n_matrices} disagrees with {len(coeffs)} coefficients")
     try:
         return ExperimentConfig(experiment=command, **args)
     except InvalidConfigError as exc:

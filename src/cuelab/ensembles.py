@@ -16,7 +16,8 @@ FFT of F sampled on the circle.  Both routes take every Z_j from the
 kernel of :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F
 stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
 with c_j = #{theta_jk < theta}, term j of G has the sign of
-b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.
+b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.  One
+ensemble is checked as a stack of one, by the same code as a whole stack.
 
 G has frequencies -N/2..N/2 in theta, so Bernstein's inequality bounds
 every derivative by the maximum: sup|G^(k)| <= (N/2)^k M.  On a grid of
@@ -51,7 +52,7 @@ __all__ = [
 # identically zero (exact cancellation up to rounding).
 _DEGENERATE_TOL = 1e-12
 _TRIM_TOL = 1e-10
-# How far (in radians, mod 2pi) a spectrum's determinant phase may sit from 0.
+# How far (in radians, mod 2pi) a spectrum's angle sum may sit from 0.
 _DET_ONE_TOL = 1e-6
 # Rounding slack e of a computed G, relative to the Bernstein bound of
 # sum |b_j| |Z_j|; float64 rounding of the log Z kernel stays below
@@ -66,40 +67,22 @@ ORACLE_MAX_DIM = 512
 class CombinationEnsemble:
     """Coefficients and det-1 spectra defining F(z) = sum b_j det(I - z U_j).
 
-    ``angles`` is derived: the spectra's eigenangles stacked, shape (n, N).
+    ``spectra`` holds EigenangleSpectrum objects or rows of sorted angles in
+    [0, 2pi), as ``eigenangles`` gives them; ``angles`` and ``dim`` derive from them.
     """
 
     coefficients: np.ndarray
     spectra: list
-    dim: int = 0
     angles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
-            raise InvalidEnsembleError("need at least one coefficient")
-        if np.any(self.coefficients == 0.0) or not np.all(np.isfinite(self.coefficients)):
-            raise InvalidEnsembleError("all coefficients must be nonzero finite reals")
-        if len(self.spectra) != len(self.coefficients):
-            raise InvalidEnsembleError(
-                f"{len(self.coefficients)} coefficients vs {len(self.spectra)} spectra"
-            )
-        dims = {spec.dim for spec in self.spectra}
-        if len(dims) != 1:
-            raise InvalidEnsembleError(f"spectra have mixed dimensions {sorted(dims)}")
-        n_dim = dims.pop()
-        if self.dim == 0:
-            self.dim = n_dim
-        elif self.dim != n_dim:
-            raise InvalidEnsembleError(f"dim={self.dim} but spectra have length {n_dim}")
-        for j, spec in enumerate(self.spectra):
-            # distance of det phase to 0 mod 2pi
-            off = abs(spec.det_phase - TWO_PI * round(spec.det_phase / TWO_PI))
-            if off > _DET_ONE_TOL:
-                raise InvalidEnsembleError(
-                    f"spectrum {j} has determinant phase {spec.det_phase:.3e}, need det 1"
-                )
-        self.angles = np.stack([spec.angles for spec in self.spectra])
+        rows = [getattr(spec, "angles", spec) for spec in self.spectra]
+        self.coefficients, angles = _stack((self.coefficients, [rows]))
+        self.angles = angles[0]
+
+    @property
+    def dim(self) -> int:
+        return self.angles.shape[1]
 
 
 def _rotation_rows(coefficients: np.ndarray, angles: np.ndarray, points: np.ndarray):
@@ -144,8 +127,14 @@ def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
 
 
 def _stack(ens) -> tuple[np.ndarray, np.ndarray]:
-    """The validated (coefficients (T,), det-1 angles (S, T, N)) of a stack."""
-    coefficients, angles = (np.asarray(part, dtype=np.float64) for part in ens)
+    """The validated (coefficients (T,), det-1 angles (S, T, N)) of a stack.
+
+    The only ensemble check; det 1 is decided on each row's angle sum.
+    """
+    try:
+        coefficients, angles = (np.asarray(part, dtype=np.float64) for part in ens)
+    except ValueError as exc:  # ragged rows
+        raise InvalidEnsembleError(f"spectra of mixed lengths: {exc}") from None
     if coefficients.ndim != 1 or len(coefficients) < 1:
         raise InvalidEnsembleError("need at least one coefficient")
     if np.any(coefficients == 0.0) or not np.all(np.isfinite(coefficients)):
@@ -281,13 +270,16 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
 
 @dataclass
 class RootSet:
-    """Roots of the expanded combination, with the trimmed degree."""
+    """Roots of the expanded combination; their count is the trimmed degree."""
 
     roots: np.ndarray
-    effective_degree: int
 
     def __post_init__(self):
         self.roots = np.asarray(self.roots, dtype=np.complex128)
+
+    @property
+    def effective_degree(self) -> int:
+        return len(self.roots)
 
     def symmetry_defect(self) -> float:
         """Worst matching distance of the root multiset to its 1/conj image.
@@ -296,8 +288,6 @@ class RootSet:
         1/conj(z); a greedy nearest-neighbor match over the multiset gives
         the defect, normalized by max(1, |image|) per root.
         """
-        if len(self.roots) == 0:
-            return 0.0
         images = 1.0 / np.conj(self.roots)
         remaining = list(range(len(self.roots)))
         worst = 0.0
@@ -329,7 +319,7 @@ def roots_oracle(ens: CombinationEnsemble) -> RootSet:
     The coefficients are the inverse FFT of F on the unit circle.  Leading
     coefficients below 1e-10 of the max magnitude are trimmed first (they
     arise when sum b_j cancels), so the companion matrix sees the
-    effective degree.  Accepts N <= ORACLE_MAX_DIM (512).
+    effective degree, the root count.  Accepts N <= ORACLE_MAX_DIM (512).
     """
     if ens.dim > ORACLE_MAX_DIM:
         raise InvalidArgumentError(
@@ -340,16 +330,12 @@ def roots_oracle(ens: CombinationEnsemble) -> RootSet:
     peak = float(np.max(magnitudes))
     if peak == 0.0:
         raise DegenerateCombinationError("all combination coefficients vanish")
-    trimmed = coeffs[int(np.argmax(magnitudes > _TRIM_TOL * peak)):]
-    effective_degree = len(trimmed) - 1
-    roots = np.roots(trimmed) if effective_degree >= 1 else np.empty(0, dtype=np.complex128)
-    return RootSet(roots, effective_degree)
+    # np.roots gives one root per trimmed degree, zeros for trailing zeros included
+    return RootSet(np.roots(coeffs[int(np.argmax(magnitudes > _TRIM_TOL * peak)):]))
 
 
 def circle_root_count(rootset: RootSet, tol: float = 1e-6) -> int:
     """Number of roots with | |z| - 1 | <= tol."""
     if tol <= 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
-    if len(rootset.roots) == 0:
-        return 0
     return int(np.sum(np.abs(np.abs(rootset.roots) - 1.0) <= tol))

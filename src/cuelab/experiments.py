@@ -15,7 +15,8 @@ block draws its matrices as one stacked reflection product and takes their
 certified spectra with one ``eigenangles`` call (Cayley transform, ``eigh``
 and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
 the sign changes of all its ensembles with one stacked ``sign_changes``
-call, whose level loop refines every bracket of the block at once.
+call, whose level loop refines every bracket of the block at once; each
+sample's rows of angles then form its CombinationEnsemble as they are.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -53,7 +54,7 @@ from .errors import (
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI, _SINGULAR_TOL, EigenangleSpectrum, _check_regular, _szego, eigenangles,
+    TWO_PI, _SINGULAR_TOL, _check_regular, _szego, eigenangles,
     log_z_from_chain, log_z_grid, log_z_verblunsky,
 )
 from .specfun import (
@@ -100,6 +101,14 @@ _Z_THRESHOLD = 4.0
 _KS_LEVEL = 0.01
 
 
+def _whole(name: str, value, floor: int) -> int:
+    """``value`` as an int; InvalidConfigError unless it is a whole number >= ``floor``."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # not a finite number
+        if int(value) == value and value >= floor:
+            return int(value)
+    raise InvalidConfigError(f"{name} takes whole numbers >= {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated inputs of one experiment run.
@@ -131,10 +140,9 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"unknown experiment {self.experiment!r}; expected one of {tuple(_RUNNERS)}"
             )
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) == 0 or any(d < 1 for d in dims):
-            raise InvalidConfigError(f"dims must be positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
+        if len(self.dims) == 0:
+            raise InvalidConfigError("at least one dimension is required")
+        object.__setattr__(self, "dims", tuple(_whole("dims", d, 1) for d in self.dims))
         coeffs = tuple(float(b) for b in self.coefficients)
         if len(coeffs) == 0:
             raise InvalidConfigError("at least one coefficient is required")
@@ -143,22 +151,17 @@ class ExperimentConfig:
                 f"coefficients must be finite and nonzero, got {self.coefficients!r}"
             )
         object.__setattr__(self, "coefficients", coeffs)
-        if int(self.samples) < 2:
-            raise InvalidConfigError(f"samples must be >= 2, got {self.samples!r}")
-        object.__setattr__(self, "samples", int(self.samples))
-        if int(self.samples) > (1 << _GROUP_SHIFT):
+        floors = {"samples": 2, "grid_factor": 1, "subdivisions": 2, "workers": 1}
+        for name, floor in floors.items():
+            value = getattr(self, name)  # subdivisions and workers may be None: derived later
+            if value is not None or name in ("samples", "grid_factor"):
+                object.__setattr__(self, name, _whole(name, value, floor))
+        if self.samples > (1 << _GROUP_SHIFT):
             raise InvalidConfigError("samples exceed the per-group stream budget")
-        if int(self.grid_factor) < 1:
-            raise InvalidConfigError(f"grid_factor must be >= 1, got {self.grid_factor!r}")
-        object.__setattr__(self, "grid_factor", int(self.grid_factor))
         if self.delta is not None and not (0.0 < self.delta < 0.25):
             raise InvalidConfigError(f"delta must lie in (0, 1/4), got {self.delta!r}")
-        if self.subdivisions is not None and int(self.subdivisions) < 2:
-            raise InvalidConfigError(f"subdivisions must be >= 2, got {self.subdivisions!r}")
         if not (self.mu > 0.0):
             raise InvalidConfigError(f"mu must be positive, got {self.mu!r}")
-        if self.workers is not None and int(self.workers) < 1:
-            raise InvalidConfigError(f"workers must be >= 1, got {self.workers!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
 
@@ -169,7 +172,7 @@ class ExperimentConfig:
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
-            return int(self.workers)
+            return self.workers
         raw = os.environ.get(_WORKERS_ENV, "1")
         try:
             return max(1, int(raw))
@@ -362,11 +365,6 @@ def _su_spectra(gen, count: int, dim: int, n_terms: int) -> np.ndarray:
     return eigenangles(u).reshape(count, n_terms, dim)
 
 
-def _ensemble(coeffs: np.ndarray, angles: np.ndarray) -> CombinationEnsemble:
-    """The ensemble of one sample's (n_terms, dim) angles; checks det 1 again."""
-    return CombinationEnsemble(coeffs, [EigenangleSpectrum.from_angles(a) for a in angles])
-
-
 def _sample_fraction(gen, count, payload) -> np.ndarray:
     """(circle fraction, audit, lower-bound flags) of ``count`` ensembles.
 
@@ -374,13 +372,12 @@ def _sample_fraction(gen, count, payload) -> np.ndarray:
     runs per ensemble.  A degenerate ensemble is a NaN row.
     """
     dim, grid_factor, coeffs = payload
-    coeffs = np.asarray(coeffs, dtype=float)
     angles = _su_spectra(gen, count, dim, len(coeffs))
     changes = sign_changes((coeffs, angles), grid_factor=grid_factor)
     out = np.full((count, 3), math.nan)
     for i in np.flatnonzero(changes >= 0):
         try:
-            roots = circle_root_count(roots_oracle(_ensemble(coeffs, angles[i])))
+            roots = circle_root_count(roots_oracle(CombinationEnsemble(coeffs, angles[i])))
         except DegenerateCombinationError:
             continue
         out[i] = (roots / dim, changes[i] == roots, changes[i] <= roots)
@@ -792,11 +789,10 @@ def _sample_carrier(gen, count, payload) -> list:
     ensemble is a NaN row, and every other row is reduced on its own.
     """
     dim, coeffs, k_div, delta, grid_factor = payload
-    coeffs = np.asarray(coeffs, dtype=float)
     angles = _su_spectra(gen, count, dim, len(coeffs))
     measured = sign_changes((coeffs, angles), grid_factor=grid_factor)
     return [
-        _carrier_row(_ensemble(coeffs, sample), k_div, delta, int(changes))
+        _carrier_row(CombinationEnsemble(coeffs, sample), k_div, delta, int(changes))
         if changes >= 0 else (math.nan,) * 7
         for sample, changes in zip(angles, measured)
     ]
@@ -842,8 +838,8 @@ def _carrier_row(ens: CombinationEnsemble, k_div, delta, measured: int) -> tuple
     for kk in np.nonzero(has_base)[0]:
         base = float(bases[kk])
         arc = config.Delta - float(offsets[first[kk]])
-        spec = ens.spectra[carriers[kk, 8 + first[kk]] - 1]
-        relative = np.sort(np.mod(spec.angles - base, TWO_PI))
+        carrier = ens.angles[carriers[kk, 8 + first[kk]] - 1]
+        relative = np.sort(np.mod(carrier - base, TWO_PI))
         inside = relative[relative < arc]
         psi = int(np.count_nonzero(np.diff(inside) <= threshold)) if inside.size > 1 else 0
         bound += max(0, inside.size - 2 - 2 * psi)

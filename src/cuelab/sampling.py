@@ -69,7 +69,7 @@ def _check_rows(n) -> None:
 
 @dataclass
 class UnitaryMatrix:
-    """A dense N x N unitary matrix.
+    """A dense N x N unitary matrix; ``dim`` is N, read off the entries.
 
     The constructor only validates the shape; the (more expensive) unitary
     invariants are checked by :meth:`check`, which unit tests apply to every
@@ -77,19 +77,16 @@ class UnitaryMatrix:
     """
 
     entries: np.ndarray
-    dim: int = 0
 
     def __post_init__(self):
         self.entries = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise InvalidDimensionError(f"entries must be square, got shape {self.entries.shape}")
-        n = self.entries.shape[0]
-        if n < 1:
-            raise InvalidDimensionError("dimension must be >= 1")
-        if self.dim == 0:
-            self.dim = n
-        elif self.dim != n:
-            raise InvalidDimensionError(f"dim={self.dim} does not match shape {self.entries.shape}")
+        shape = self.entries.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise InvalidDimensionError(f"entries must be square and nonempty, got shape {shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     def unitarity_defect(self) -> float:
         """Max-norm of U^dagger U - I."""
@@ -164,10 +161,10 @@ def reflection_matrix(x: np.ndarray) -> UnitaryMatrix:
     eye = np.eye(j, dtype=np.complex128)
     gamma = _reflection_gamma(x)
     if gamma == 0:
-        return UnitaryMatrix(eye, j)
+        return UnitaryMatrix(eye)
     u = -x.copy()
     u[-1] += 1.0
-    return UnitaryMatrix(eye - np.outer(u, u.conj()) / gamma, j)
+    return UnitaryMatrix(eye - np.outer(u, u.conj()) / gamma)
 
 
 def reflection_determinant(x: np.ndarray):
@@ -224,7 +221,7 @@ def chain_to_matrix(chain: ReflectionChain) -> UnitaryMatrix:
     """Evaluate the reflection product of one chain as a dense matrix."""
     if chain.dim < 1:
         raise InvalidDimensionError("chain must contain at least one vector")
-    return UnitaryMatrix(_apply_chain(chain.vectors), chain.dim)
+    return UnitaryMatrix(_apply_chain(chain.vectors))
 
 
 def _gaussian_block(gen: np.random.Generator, sizes, n: int | None = None) -> list:
@@ -404,4 +401,4 @@ def haar_unitary_qr_oracle(N: int, rng, n: int | None = None):
     q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, None, :]
-    return UnitaryMatrix(q[0], N) if n is None else q
+    return UnitaryMatrix(q[0]) if n is None else q

@@ -124,8 +124,12 @@ def test_subdivision_rejects_bad_parameters():
 
 
 def test_config_consistency_enforced():
-    with pytest.raises(InvalidConfigError):
-        CarrierWaveConfig(N=8, K=4, M=2.0, delta=0.2, Delta=1.0, theta0=0.0)
+    # M = N/K and Delta = 2pi/K are derived; 2 <= K <= N/2 keeps M >= 2
+    cfg = CarrierWaveConfig(N=8, K=4, delta=0.2, theta0=0.0)
+    assert cfg.M == 2.0 and cfg.Delta == 2 * np.pi / 4
+    for k_div in (1, 5):
+        with pytest.raises(InvalidConfigError):
+            CarrierWaveConfig(N=8, K=k_div, delta=0.2, theta0=0.0)
 
 
 def test_narrow_gap_threshold_scaling():
@@ -176,6 +180,37 @@ def test_exceptional_mask_flags_singular_points_and_grows_with_delta():
     for delta in (0.0, 0.5):
         with pytest.raises(InvalidArgumentError):
             exceptional_mask(logs, delta)
+
+
+def pairwise_exceptional_mask(logs, delta):
+    # the definition: some |L_i| >= 1/delta or some pair within delta, a
+    # nan difference (two -inf terms) counting as within
+    mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
+    for i in range(len(logs)):
+        for j in range(i + 1, len(logs)):
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(logs[i] - logs[j])
+            mask |= np.isnan(diff) | (diff <= delta)
+    return mask
+
+
+def test_exceptional_mask_equals_the_pairwise_definition():
+    # random logs with ties, exact -inf points and values near 1/delta
+    g = RngStream(SEED, 23).generator()
+    cases = 0
+    for n_terms in (1, 2, 3, 5):
+        for delta in (0.05, 0.1, 0.2, 0.3):
+            for _ in range(250):
+                logs = g.normal(0.0, 2.0, size=(n_terms, 40))
+                if n_terms > 1:
+                    tied = g.random(40) < 0.2
+                    logs[1, tied] = logs[0, tied] + g.choice([0.0, delta, -delta], tied.sum())
+                logs[g.random(logs.shape) < 0.1] = -np.inf
+                logs[g.random(logs.shape) < 0.05] = 1.0 / delta
+                np.testing.assert_array_equal(
+                    exceptional_mask(logs, delta), pairwise_exceptional_mask(logs, delta))
+                cases += 1
+    assert cases == 4000
 
 
 def test_exceptional_mask_quiet_on_shared_eigenangle():

@@ -174,6 +174,32 @@ def test_ensemble_validation():
     with pytest.raises(InvalidEnsembleError):
         mixed = [specs[0], EigenangleSpectrum.from_angles(np.zeros(4))]
         CombinationEnsemble(np.array([1.0, 1.0]), mixed)  # dimension mismatch
+    # rows of angles, as eigenangles gives them, take the same one check
+    rows = [spec.angles for spec in specs]
+    assert CombinationEnsemble(np.array([1.0, 1.0]), rows).dim == 5
+    off = rows[1] + 1e-3 / 5  # angle sum 1e-3 off 0 mod 2pi
+    with pytest.raises(InvalidEnsembleError, match="det 1"):
+        CombinationEnsemble(np.array([1.0, 1.0]), [rows[0], off])
+    with pytest.raises(InvalidEnsembleError):
+        CombinationEnsemble(np.array([1.0, 1.0]), [rows[0], rows[1][:4]])  # mixed lengths
+    with pytest.raises(InvalidEnsembleError):
+        CombinationEnsemble(np.array([1.0, 1.0, 1.0]), rows)  # 2 rows, 3 coefficients
+    with pytest.raises(InvalidEnsembleError):
+        CombinationEnsemble(np.array([1.0]), rows)  # 2 rows, 1 coefficient
+
+
+def test_ensembles_from_rows_and_from_spectra_agree():
+    g = RngStream(SEED, 24).generator()
+    coeffs = np.array([1.0, -2.0, 0.5])
+    drawn = haar_special_unitary(16, 0.0, g, n=4 * len(coeffs))[0]
+    for rows in eigenangles(drawn).reshape(4, len(coeffs), 16):
+        from_rows = CombinationEnsemble(coeffs, rows)
+        from_spectra = CombinationEnsemble(
+            coeffs, [EigenangleSpectrum.from_angles(row) for row in rows])
+        assert from_rows.angles.tobytes() == from_spectra.angles.tobytes()
+        assert sign_changes(from_rows) == sign_changes(from_spectra)
+        np.testing.assert_array_equal(roots_oracle(from_rows).roots,
+                                      roots_oracle(from_spectra).roots)
 
 
 def _bracket_changes(evaluate, a, ga, b, gb, depth):
@@ -199,7 +225,7 @@ def reference_sign_changes(ens, grid_factor, max_refine):
     n_dim = ens.dim
     sign = -1.0 if n_dim % 2 else 1.0
     base = np.arange(grid_factor * n_dim) * (TWO_PI / (grid_factor * n_dim))
-    nodes = np.unique(np.concatenate([base] + [spec.angles for spec in ens.spectra]))
+    nodes = np.unique(np.concatenate([base, *ens.angles]))
     g = np.array([real_rotation(ens, float(t)) for t in nodes])
     nodes, g = nodes[g != 0.0], g[g != 0.0]
 
@@ -417,7 +443,7 @@ def close_pair_ensembles():
     """
     gen = experiments._stream(424242, 3, 48).generator()
     angles = experiments._su_spectra(gen, 4, 64, 2)[3]
-    yield experiments._ensemble(np.array([1.0, 1.0]), angles)
+    yield CombinationEnsemble(np.array([1.0, 1.0]), angles)
     pinned = list(pinned_ensembles(16, 157))
     yield pinned[152]
     yield pinned[156]

@@ -89,6 +89,17 @@ def test_config_validation():
         ExperimentConfig(experiment="carrier", dims=(8,), delta=0.3)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="oscillation", dims=(8,), mu=0.0)
+    # counts must be whole numbers, not truncated to one
+    for field, value in [("dims", (8.9,)), ("samples", 2.7), ("grid_factor", 2.5),
+                         ("subdivisions", 4.5), ("workers", 1.5)]:
+        with pytest.raises(InvalidConfigError, match=field):
+            ExperimentConfig(**{"experiment": "carrier", "dims": (16,), field: value})
+    whole = ExperimentConfig(experiment="carrier", dims=(16.0,), samples=4.0, grid_factor=2.0,
+                             subdivisions=np.int64(4), workers=1.0)
+    assert (whole.dims, whole.samples, whole.grid_factor, whole.subdivisions, whole.workers) \
+        == ((16,), 4, 2, 4, 1)
+    assert all(type(v) is int for v in (*whole.dims, whole.samples, whole.grid_factor,
+                                        whole.subdivisions, whole.workers))
     # the CLI dispatches through the registry the config validates against
     assert cli._RUNNERS is experiments._RUNNERS
 

@@ -161,24 +161,18 @@ def test_parse_fraction_example():
     assert cfg.format == "csv"
 
 
-def test_parse_n_matrices_without_coeffs_uses_unit_coefficients():
-    cfg = parse_cli(["fraction", "--dims", "8", "--n-matrices", "3", "--samples", "10"])
-    assert cfg.coefficients == (1.0, 1.0, 1.0)
-    assert cfg.n_matrices == 3
-
-
 # Per subcommand: the options its runner reads besides --seed, --format
 # and --out, and its default dims and samples (selftest echoes its samples
 # default but reads no --samples).
 SUBCOMMANDS = {
-    "fraction": ("--dims --samples --coeffs --n-matrices --grid-factor", (8, 16), 200),
+    "fraction": ("--dims --samples --coeffs --grid-factor", (8, 16), 200),
     "moments": ("--dims --samples", (8,), 20000),
     "traces": ("--dims --samples", (8,), 20000),
     "clt": ("--dims --samples", (64,), 10000),
     "tails": ("--dims --samples", (128,), 2000),
     "oscillation": ("--dims --samples", (64,), 2000),
     "gaps": ("--dims --samples", (32,), 2000),
-    "carrier": ("--dims --samples --coeffs --n-matrices --grid-factor --delta --subdivisions", (64,), 50),
+    "carrier": ("--dims --samples --coeffs --grid-factor --delta --subdivisions", (64,), 50),
     "selftest": ("", (8,), 50),
 }
 
@@ -216,7 +210,8 @@ def test_parse_output_options(tmp_path):
         ["fraction", "--dims", "8,x"],  # malformed dimension list
         ["fraction", "--dims", "0"],  # dimensions must be positive
         ["fraction", "--coeffs", "1,0"],  # zero coefficient
-        ["fraction", "--coeffs", "1,1", "--n-matrices", "3"],  # length mismatch
+        # no such option: --coeffs alone gives the number of matrices
+        ["fraction", "--coeffs", "1,1", "--n-matrices", "3"],
         ["moments", "--samples", "1"],  # too few samples
         # an option the subcommand's runner does not read
         ["moments", "--dims", "4", "--samples", "10", "--coeffs", "1,2"],
