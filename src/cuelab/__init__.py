@@ -63,6 +63,7 @@ from .ensembles import (
     CombinationEnsemble,
     RootSet,
     circle_root_count,
+    circle_zero_counts,
     real_rotation,
     roots_oracle,
     sign_changes,

@@ -62,15 +62,18 @@ def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
     :func:`normalized_logs`.  A point is exceptional iff some
     |L_i| >= 1/delta or some pair satisfies |L_i - L_j| <= delta.  Both
     conditions are monotone in delta, so membership is pointwise
-    nondecreasing in delta.  The closest pair is adjacent once sorted, so
-    only sorted gaps are compared; a nan gap (two -inf terms) is close.
+    nondecreasing in delta.  Every pair i < j is compared; a nan gap (two
+    -inf terms) is close.
     """
     delta = float(delta)
     if not (0.0 < delta < 0.5):
         raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
+    mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
     with np.errstate(invalid="ignore"):
-        gaps = np.diff(np.sort(logs, axis=0), axis=0)
-    return np.any(np.abs(logs) >= 1.0 / delta, axis=0) | np.any(~(gaps > delta), axis=0)
+        for i in range(len(logs)):
+            for j in range(i + 1, len(logs)):
+                mask |= ~(np.abs(logs[i] - logs[j]) > delta)
+    return mask
 
 
 def carrier_wave_index(logs: np.ndarray) -> np.ndarray:

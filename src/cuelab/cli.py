@@ -8,6 +8,7 @@ when every check of the run passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from numpy.linalg import LinAlgError
@@ -69,7 +70,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cuelab",
         description="Monte Carlo laboratory for zeros of random "

@@ -4,18 +4,26 @@ For det-1 unitaries U_1..U_n and nonzero reals b_1..b_n let
 
     F(z) = sum_j b_j det(I - z U_j).
 
-The self-inversive structure of each factor makes
-G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real trigonometric
-polynomial whose sign changes lower-bound the number of zeros of F on the
-unit circle.  This module provides G, a sign-change counter that refines
-all its brackets level by level (one kernel call per bisection level, for
-one ensemble or a whole stack of them) and drops each bracket whose count
-Bernstein's inequality already fixes, and an independent oracle:
-companion-matrix roots of the polynomial whose coefficients come from an
-FFT of F sampled on the circle.  Both routes take every Z_j from the
-kernel of :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F
-stay finite at any N.  As Im log Z_j is pi c_j plus a closed form,
-with c_j = #{theta_jk < theta}, term j of G has the sign of
+Three routes count the zeros of F on the unit circle.
+
+1. The sign-change lower bound.  The self-inversive structure of each
+   factor makes G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real
+   trigonometric polynomial whose sign changes lower-bound the count.
+   :func:`sign_changes` refines all its brackets level by level (one
+   kernel call per bisection level, for one ensemble or a whole stack of
+   them) and drops each bracket whose count Bernstein's inequality already
+   fixes.
+2. The exact count.  :func:`circle_zero_counts` takes the inertia of the
+   Schur-Cohn matrix of F' (Cohn's theorem in counting form), one stacked
+   ``eigvalsh`` per degree, and certifies each count or raises.
+3. The audit route.  :func:`roots_oracle` takes companion-matrix roots,
+   one ``np.roots`` per ensemble, capped at N = ORACLE_MAX_DIM.
+
+Routes 2 and 3 share F's coefficients, an inverse FFT of F sampled on the
+circle.  Every route takes each Z_j from the kernel of
+:func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F stay finite
+at any N.  As Im log Z_j is pi c_j plus a closed form, with
+c_j = #{theta_jk < theta}, term j of G has the sign of
 b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.  One
 ensemble is checked as a stack of one, by the same code as a whole stack.
 
@@ -36,7 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
+from .errors import (
+    DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError, NumericalFailureError,
+)
 from .spectra import TWO_PI, _log_z_rows, log_z_grid
 
 __all__ = [
@@ -44,6 +54,7 @@ __all__ = [
     "RootSet",
     "real_rotation",
     "sign_changes",
+    "circle_zero_counts",
     "roots_oracle",
     "circle_root_count",
 ]
@@ -58,8 +69,17 @@ _DET_ONE_TOL = 1e-6
 # sum |b_j| |Z_j|; float64 rounding of the log Z kernel stays below
 # 1e-15 N of it.
 _ROUNDING_SLACK = 1e-8
-# Largest N the root oracle accepts: np.roots costs O(N^3), about 1.3 s at
-# N = 512, where roots on the circle still sit within 2e-14 of it.
+# Allowance for the rounding of F's values on the FFT grid, relative to
+# N eps sum_j |b_j| |Z_j|.  An empirical constant, not a proven bound: the
+# noise in the unused top of the inverse FFT measures 1.2-2.8 N eps of its
+# RMS from N = 16 to 512, so it leaves about 3x headroom.
+_VALUE_NOISE = 8.0
+# Multiple of n eps (max|lambda| + |T_1|_F^2 + |T_2|_F^2) allowed for
+# forming a Schur-Cohn matrix by matmul and taking its eigenvalues.
+_INERTIA_SLACK = 16.0
+# Largest N the root oracle, and fraction's dense route, accept: np.roots
+# costs O(N^3), about 1.3 s at N = 512, where roots on the circle still sit
+# within 2e-14 of it.  The exact count takes no roots and has no cap.
 ORACLE_MAX_DIM = 512
 
 
@@ -299,18 +319,139 @@ class RootSet:
         return worst
 
 
-def _combination_coefficients(ens: CombinationEnsemble) -> np.ndarray:
-    """Descending coefficients of F(z) = sum b_j prod_k (1 - z e^{i theta_jk}).
+def _combination_coefficients(coefficients, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending coefficients a_0..a_N of every F of a stack, and their noise.
 
+    ``angles`` has shape (S, T, N); the coefficients have shape (S, N + 1).
     F(e^{-i phi}) = sum_m a_m e^{-i m phi}, so the inverse FFT of F sampled
-    at M >= 2N + 2 equispaced angles returns a_0..a_N directly; unlike a
-    product expansion, no intermediate coefficient outgrows F itself.
+    at M = 2^k >= 2N + 2 equispaced angles returns a_0..a_N directly;
+    unlike a product expansion, no intermediate coefficient outgrows F
+    itself.  By Parseval the l2 error of a row's M outputs is the RMS of
+    its values' errors, allowed _VALUE_NOISE N eps times the RMS of
+    sum_j |b_j| |Z_j| over the grid: that allowance is the second result,
+    shape (S,).
     """
-    n_dim = ens.dim
+    n_dim = angles.shape[-1]
     m = 1 << (2 * n_dim + 1).bit_length()
-    re, im = log_z_grid(ens.angles, np.arange(m) * (TWO_PI / m))
-    values = ens.coefficients @ np.exp(re + 1j * im)
-    return np.fft.ifft(values)[n_dim::-1]
+    re, im = log_z_grid(angles, np.arange(m) * (TWO_PI / m))
+    values = coefficients @ np.exp(re + 1j * im)
+    scale = np.sqrt(np.mean((np.abs(coefficients) @ np.exp(re)) ** 2, axis=-1))
+    return np.fft.ifft(values)[:, :n_dim + 1], _VALUE_NOISE * n_dim * np.finfo(float).eps * scale
+
+
+def circle_zero_counts(ens, uncertified: int | None = None):
+    """Exact number of zeros of F on the unit circle, without roots.
+
+    ``ens`` is a CombinationEnsemble, giving an int, or a stack of S
+    ensembles that share their coefficients, given as the pair
+    (coefficients (T,), det-1 eigenangles (S, T, N)), giving S counts.
+    A row the certificate below cannot settle raises NumericalFailureError,
+    or, for a stack given an ``uncertified`` int, reports that value.
+
+    **Trim.**  F's coefficients below 1e-10 of the peak are stripped at both
+    ends: at the top as in :func:`roots_oracle`, and at the bottom too, for
+    when sum b_j = 0 both a_N and a_0 vanish, F = z p, and the zero at 0 is
+    not on the circle.  For det-1 spectra
+    z^N conj F(1/conj z) = (-1)^N F(z), so |a_m| = |a_{N-m}| and both ends
+    lose the same number of coefficients; what is left, p of degree n, is
+    self-inversive: z^n conj p(1/conj z) = e^{i alpha} p(z).
+
+    **Counting form of Cohn's theorem.**  If p' has no zero on the circle,
+    p has exactly n - 2k zeros there, k = #{zeros of p' with |z| > 1}.
+    Proof: on |z| = 1 the symmetry reads conj p = e^{i alpha} z^{-n} p, so
+    p(e^{it}) = e^{i(nt - alpha)/2} R(t) with R real, and differentiating,
+    e^{it} p'(e^{it}) = e^{i(nt - alpha)/2} w(t), w = nR/2 - iR'.  As p' has
+    no circle zero, w never vanishes: R and R' have no common zero, so the
+    circle zeros of p are the c simple zeros of R.  The curve w meets the
+    imaginary axis only there, at -iR' while Re w moves with the sign of
+    R': below 0 moving right or above 0 moving left, counterclockwise both
+    ways.  Between two such crossings w stays in one half plane, so its
+    argument gains pi per crossing and c pi in all; the factor
+    e^{i(nt - alpha)/2} adds n pi.  By the argument principle z p'(z) has
+    (n + c)/2 zeros in the disc: the one at 0 and n - 1 - k of p'.  So
+    c = n - 2k.
+
+    **Inertia.**  For q = p' of degree d = n - 1, let T_1 and T_2 be the
+    d x d lower-triangular Toeplitz matrices with first columns
+    q_0..q_{d-1} and conj q_d..conj q_1.  If H = T_2^H T_2 - T_1^H T_1 is
+    nonsingular, q has no zero on the circle and H has as many negative
+    eigenvalues as q has zeros outside it (Schur 1917, Cohn 1922,
+    Krein-Naimark 1936).  So the count is n - 2 #{lambda(H) < 0}, from one
+    stacked ``eigvalsh`` per group of rows that share the trimmed degree
+    (generically the whole stack); n <= 1 needs no matrix.
+
+    **Certificate.**  By Weyl's inequality each eigenvalue of the exact H
+    lies within |dH|_2 of the computed one.  The allowance for |dH|_2 is
+    16 n eps (max|lambda| + |T_1|_F^2 + |T_2|_F^2) for the matmuls and
+    ``eigvalsh``, plus 2e(|T_1|_F + |T_2|_F + e) for the coefficients'
+    error: with the factor k + 1 of q_k, e = sqrt(d) n times their l2
+    error bounds each |dT_i|_F.  That l2 error is taken to be at most the
+    allowance of :func:`_combination_coefficients`, an empirical constant
+    (measured noise times about 3), not a proven bound on the rounding of
+    the log Z kernel and the FFT; so the certificate is calibrated, not
+    rigorous.  Where min|lambda| exceeds the allowance, the exact H is
+    nonsingular with the computed inertia, so the hypothesis holds and the
+    count is exact.  Elsewhere the row is uncertified, and the error names
+    it: a double circle zero (a repeated eigenangle of a single term) makes
+    p' vanish on the circle and H singular, so it never passes.  A stack
+    reports -1 for a row whose coefficients all vanish; a single ensemble
+    raises DegenerateCombinationError there, as the oracle does.
+    """
+    single = isinstance(ens, CombinationEnsemble)
+    coefficients, angles = (ens.coefficients, ens.angles[None]) if single else _stack(ens)
+    coeffs, noise = _combination_coefficients(coefficients, angles)
+    width = coeffs.shape[1]
+    magnitudes = np.abs(coeffs)
+    peak = magnitudes.max(axis=1, initial=0.0)
+    kept = magnitudes > _TRIM_TOL * peak[:, None]
+    low = np.argmax(kept, axis=1)
+    degree = width - 1 - np.argmax(kept[:, ::-1], axis=1) - low
+    vanishing = peak == 0.0
+    if single and vanishing[0]:
+        raise DegenerateCombinationError("all combination coefficients vanish")
+    lopsided = np.flatnonzero(~vanishing & (2 * low + degree != width - 1))
+    if lopsided.size:
+        r = lopsided[0]
+        raise NumericalFailureError(
+            f"trimmed coefficients are not self-inversive: {low[r]} stripped at the bottom, "
+            f"{width - 1 - low[r] - degree[r]} at the top{'' if single else f' in row {r}'}"
+        )
+    counts = np.full(len(coeffs), -1)
+    for n in np.unique(degree[~vanishing]):
+        rows = np.flatnonzero(~vanishing & (degree == n))
+        if n <= 1:
+            counts[rows] = n
+            continue
+        d = n - 1
+        q = coeffs[rows, low[rows[0]] + 1:low[rows[0]] + n + 1] * np.arange(1, n + 1)
+        lag = np.subtract.outer(np.arange(d), np.arange(d))
+        lower = lag >= 0
+        lag = np.maximum(lag, 0)
+        t1 = np.where(lower, q[:, lag], 0.0)
+        t2 = np.where(lower, np.conj(q[:, :0:-1])[:, lag], 0.0)
+        h = np.conj(t2).swapaxes(1, 2) @ t2 - np.conj(t1).swapaxes(1, 2) @ t1
+        lam = np.linalg.eigvalsh(h)
+        # |T_1|_F and |T_2|_F: q_k sits on d - k diagonal entries of T_1,
+        # conj q_k on k entries of T_2
+        f1 = np.sqrt(np.abs(q[:, :d]) ** 2 @ np.arange(d, 0, -1))
+        f2 = np.sqrt(np.abs(q[:, 1:]) ** 2 @ np.arange(1, d + 1))
+        e = np.sqrt(d) * n * noise[rows]
+        size = np.abs(lam).max(axis=1)
+        allowance = (_INERTIA_SLACK * n * np.finfo(float).eps * (size + f1 ** 2 + f2 ** 2)
+                     + 2.0 * e * (f1 + f2 + e))
+        smallest = np.abs(lam).min(axis=1)
+        counts[rows] = n - 2 * np.count_nonzero(lam < 0.0, axis=1)
+        bad = np.flatnonzero(~(smallest > allowance))
+        if bad.size and uncertified is not None and not single:
+            counts[rows[bad]] = uncertified
+        elif bad.size:
+            b, r = bad[0], rows[bad[0]]
+            raise NumericalFailureError(
+                f"circle zero count not certified: min|lambda| {smallest[b]:.3e} of the "
+                f"Schur-Cohn matrix <= allowance {allowance[b]:.3e} (a double circle zero, "
+                f"or a zero of F' next to the circle){'' if single else f' in row {r}'}"
+            )
+    return int(counts[0]) if single else counts
 
 
 def roots_oracle(ens: CombinationEnsemble) -> RootSet:
@@ -325,7 +466,7 @@ def roots_oracle(ens: CombinationEnsemble) -> RootSet:
         raise InvalidArgumentError(
             f"roots oracle accepts N <= {ORACLE_MAX_DIM}, got N={ens.dim}"
         )
-    coeffs = _combination_coefficients(ens)
+    coeffs = _combination_coefficients(ens.coefficients, ens.angles[None])[0][0, ::-1]
     magnitudes = np.abs(coeffs)
     peak = float(np.max(magnitudes))
     if peak == 0.0:

@@ -15,8 +15,10 @@ block draws its matrices as one stacked reflection product and takes their
 certified spectra with one ``eigenangles`` call (Cayley transform, ``eigh``
 and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
 the sign changes of all its ensembles with one stacked ``sign_changes``
-call, whose level loop refines every bracket of the block at once; each
-sample's rows of angles then form its CombinationEnsemble as they are.
+call, whose level loop refines every bracket of the block at once.  A
+``fraction`` block takes its exact circle-zero counts with one stacked
+``circle_zero_counts`` call; a ``carrier`` sample's rows of angles form
+its CombinationEnsemble as they are.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -48,9 +50,7 @@ import multiprocessing
 
 import numpy as np
 
-from .errors import (
-    CuelabError, DegenerateCombinationError, InvalidConfigError, NumericalFailureError,
-)
+from .errors import CuelabError, InvalidConfigError, NumericalFailureError
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
@@ -61,7 +61,8 @@ from .specfun import (
     EULER_GAMMA, expected_narrow_pairs, f_mu, joint_mgf_rhs, oscillation_variance_exact,
 )
 from .ensembles import (
-    ORACLE_MAX_DIM, CombinationEnsemble, circle_root_count, roots_oracle, sign_changes,
+    ORACLE_MAX_DIM, CombinationEnsemble, circle_root_count, circle_zero_counts, roots_oracle,
+    sign_changes,
 )
 from .carrier import (
     carrier_wave_index, exceptional_mask, narrow_gap_count, narrow_gap_threshold,
@@ -368,19 +369,22 @@ def _su_spectra(gen, count: int, dim: int, n_terms: int) -> np.ndarray:
 def _sample_fraction(gen, count, payload) -> np.ndarray:
     """(circle fraction, audit, lower-bound flags) of ``count`` ensembles.
 
-    The block's sign changes come from one stacked count; the root oracle
-    runs per ensemble.  A degenerate ensemble is a NaN row.
+    The block's sign changes come from one stacked count, and its exact
+    circle-zero counts from one stacked ``circle_zero_counts`` call on the
+    non-degenerate rows.  A row whose count the certificate cannot settle
+    is counted by the root oracle instead, as N <= ORACLE_MAX_DIM here.  A
+    degenerate ensemble, or one whose coefficients all vanish, is a NaN row.
     """
     dim, grid_factor, coeffs = payload
     angles = _su_spectra(gen, count, dim, len(coeffs))
     changes = sign_changes((coeffs, angles), grid_factor=grid_factor)
+    rows = np.flatnonzero(changes >= 0)
+    zeros = circle_zero_counts((coeffs, angles[rows]), uncertified=-2)
+    for k in np.flatnonzero(zeros == -2):
+        zeros[k] = circle_root_count(roots_oracle(CombinationEnsemble(coeffs, angles[rows[k]])))
+    rows, zeros = rows[zeros >= 0], zeros[zeros >= 0]
     out = np.full((count, 3), math.nan)
-    for i in np.flatnonzero(changes >= 0):
-        try:
-            roots = circle_root_count(roots_oracle(CombinationEnsemble(coeffs, angles[i])))
-        except DegenerateCombinationError:
-            continue
-        out[i] = (roots / dim, changes[i] == roots, changes[i] <= roots)
+    out[rows] = np.column_stack([zeros / dim, changes[rows] == zeros, changes[rows] <= zeros])
     return out
 
 
@@ -388,9 +392,11 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     """Mean fraction of the combination's zeros that sit on the unit circle.
 
     For each N the run draws ``samples`` independent n-tuples of SU(N)
-    spectra, counts circle zeros with the root oracle, audits the
-    sign-change lower bound against that count, and reports mean +-
-    stderr.  N is capped at ORACLE_MAX_DIM (512).  Degenerate draws
+    spectra, counts circle zeros exactly with the certified Schur-Cohn
+    count (``circle_zero_counts``, or the root oracle on a row it cannot
+    certify), audits the sign-change lower bound against that count, and
+    reports mean +- stderr.  N is capped at ORACLE_MAX_DIM (512), the cap
+    of the dense route and of that fallback.  Degenerate draws
     (identically vanishing combination) are excluded and counted.
     """
     report = _Report(cfg)

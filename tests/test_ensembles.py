@@ -1,8 +1,9 @@
 """Trigonometric combinations of characteristic polynomials and their zeros.
 
-Two independent counting routes must agree: sign changes of the real
-rotation on the circle, and companion-matrix roots of the polynomial whose
-coefficients come from an FFT of the combination on the circle.
+Three counting routes must agree: sign changes of the real rotation on the
+circle (a lower bound), the certified Schur-Cohn inertia count, and
+companion-matrix roots of the polynomial whose coefficients come from an
+FFT of the combination on the circle.
 """
 
 import numpy as np
@@ -13,11 +14,14 @@ from cuelab import RngStream, experiments, haar_special_unitary
 from cuelab.ensembles import (
     CombinationEnsemble,
     circle_root_count,
+    circle_zero_counts,
     real_rotation,
     roots_oracle,
     sign_changes,
 )
-from cuelab.errors import DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError
+from cuelab.errors import (
+    DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError, NumericalFailureError,
+)
 from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z
 
 SEED = 271828
@@ -455,3 +459,83 @@ def test_sign_changes_on_close_pairs_match_the_reference():
         assert circle_root_count(roots_oracle(ens)) == roots
         assert reference_sign_changes(ens, 8, 20) == changes
         assert sign_changes(ens) == changes
+
+
+# (coefficients, N, stack rows) of the exact count's audit against the oracle
+EXACT_COUNT_CASES = [
+    *[(coeffs, n_dim, 80) for coeffs in ((1.0, -1.0), (1.0,), (1.0, 1.0), (1.0, 2.0, 3.0))
+      for n_dim in (3, 8, 16)],
+    *[(coeffs, 64, 12) for coeffs in ((1.0, -1.0), (1.0,), (1.0, 1.0), (1.0, 2.0, 3.0))],
+    ((2.0, -1.0), 32, 24),
+    ((1.0, -1.0), 128, 4),
+    ((1.0, 1.0), 512, 1),
+]
+
+
+def test_circle_zero_counts_equal_the_oracle():
+    # one stacked count per case against one oracle call per ensemble, on
+    # 1,040 ensembles, the close pairs among them; N = 16 stacks are also
+    # counted row by row, and the wrapper of a stack of none returns none
+    total = 0
+    for salt, (coeffs, n_dim, rows) in enumerate(EXACT_COUNT_CASES):
+        gen = RngStream(SEED, 300 + salt).generator()
+        angles = experiments._su_spectra(gen, rows, n_dim, len(coeffs))
+        coeffs = np.array(coeffs)
+        counts = circle_zero_counts((coeffs, angles))
+        oracle = [circle_root_count(roots_oracle(CombinationEnsemble(coeffs, a))) for a in angles]
+        assert counts.tolist() == oracle, (coeffs, n_dim)
+        if n_dim == 16:
+            singles = [circle_zero_counts(CombinationEnsemble(coeffs, a))
+                       for a in angles]
+            assert singles == oracle
+        total += rows
+    for ens in close_pair_ensembles():
+        assert circle_zero_counts(ens) == circle_root_count(roots_oracle(ens))
+        total += 1
+    assert total == 1040
+    assert circle_zero_counts((coeffs, angles[:0])).shape == (0,)
+
+
+def test_circle_zero_counts_vanishing_and_trimmed_rows():
+    # (1, -1) cancels a_N and a_0: the count is that of p = F / z, of
+    # degree N - 2; identical spectra cancel every coefficient
+    cases = ragged_stack((1.0, -1.0), 16, salt=41)
+    stack = (np.array([1.0, -1.0]), np.stack([ens.angles for ens in cases]))
+    counts = circle_zero_counts(stack)
+    assert counts[-1] == -1
+    assert counts[:-1].tolist() == [circle_root_count(roots_oracle(e)) for e in cases[:-1]]
+    assert all(0 <= c <= 14 for c in counts[:-1])
+    with pytest.raises(DegenerateCombinationError):
+        circle_zero_counts(cases[-1])
+
+
+def test_double_circle_zero_fails_the_certificate():
+    # a repeated eigenangle is a double zero of F on the circle: F' vanishes
+    # there, the Schur-Cohn matrix is singular, and no count comes back
+    spread = np.array([0.4, 0.4, 1.3, 2.2, 3.5, 4.6, 5.2])
+    double = np.sort(np.append(spread, np.mod(-spread.sum(), TWO_PI)))
+    plain = make_ens([1.0], 8, salt=42).angles[0]
+    for coeffs, rows in (((1.0,), [[double]]), ((1.0, 2.0), [[double, double]])):
+        with pytest.raises(NumericalFailureError, match="not certified"):
+            circle_zero_counts(CombinationEnsemble(np.array(coeffs), rows[0]))
+    stack = np.array([[plain], [double]])
+    with pytest.raises(NumericalFailureError, match="in row 1"):
+        circle_zero_counts((np.array([1.0]), stack))
+    assert circle_zero_counts((np.array([1.0]), stack[:1])).tolist() == [8]
+    assert circle_zero_counts((np.array([1.0]), stack), uncertified=-2).tolist() == [8, -2]
+    with pytest.raises(NumericalFailureError, match="not certified"):
+        circle_zero_counts(CombinationEnsemble(np.array([1.0]), [double]), uncertified=-2)
+
+
+def test_single_term_counts_at_large_n_are_certified_or_flagged():
+    # a single term has the thinnest certificates (min|lambda| / max|lambda|
+    # down to 1e-10 at N = 512); all N of its zeros are on the circle, and a
+    # stack given ``uncertified`` flags a row rather than raising
+    for n_dim, rows in ((256, 4), (512, 1)):
+        gen = RngStream(SEED, 400 + n_dim).generator()
+        angles = experiments._su_spectra(gen, rows, n_dim, 1)
+        counts = circle_zero_counts((np.array([1.0]), angles), uncertified=-2)
+        oracle = [circle_root_count(roots_oracle(CombinationEnsemble(np.array([1.0]), a)))
+                  for a in angles]
+        assert oracle == [n_dim] * rows
+        assert counts.tolist() == oracle

@@ -157,6 +157,58 @@ def test_single_dim_runners_reject_several_dims(monkeypatch, capsys):
         assert f"error: {name} runs take one N" in capsys.readouterr().err
 
 
+def test_fraction_counts_each_block_once_without_the_oracle(monkeypatch):
+    # one stacked exact count per block, on the non-degenerate rows only,
+    # and no roots: every third row is marked degenerate as below
+    real_changes, real_count = experiments.sign_changes, experiments.circle_zero_counts
+    seen, stacks = [], []
+
+    def every_third_degenerate(stack, **kwargs):
+        counts = real_changes(stack, **kwargs)
+        rows = len(seen) + np.arange(len(counts))
+        seen.extend(rows)
+        return np.where(rows % 3 == 2, -1, counts)
+
+    def counted(stack, **kwargs):
+        stacks.append(len(stack[1]))
+        return real_count(stack, **kwargs)
+
+    def no_oracle(ens):
+        raise AssertionError("fraction called roots_oracle")
+
+    monkeypatch.setattr(experiments, "sign_changes", every_third_degenerate)
+    monkeypatch.setattr(experiments, "circle_zero_counts", counted)
+    monkeypatch.setattr(experiments, "roots_oracle", no_oracle)
+    monkeypatch.setattr(cuelab.ensembles, "roots_oracle", no_oracle)
+    monkeypatch.setattr(cuelab, "roots_oracle", no_oracle)
+    # N = 16 with two terms: 64 samples per block, so 70 samples make two blocks
+    rec = run_fraction_on_circle(ExperimentConfig(
+        experiment="fraction", dims=(16,), coefficients=(1.0, -1.0), samples=70, seed=3, workers=1))
+    assert len(seen) == 70
+    assert stacks == [43, 4]
+    assert rec.parameters["degenerate_excluded"] == {"N=16": 23}
+    assert rec.estimates[0].n == 47
+
+
+def test_fraction_falls_back_to_the_oracle_on_uncertified_rows(monkeypatch):
+    # with no certificate passing, the root oracle counts every kept row,
+    # and the record is the one the exact counts give
+    cfg = ExperimentConfig(experiment="fraction", dims=(16,), coefficients=(1.0, -1.0),
+                           samples=20, seed=5, workers=1)
+    exact = run_fraction_on_circle(cfg)
+    real, calls = experiments.roots_oracle, []
+
+    def oracle(ens):
+        calls.append(ens)
+        return real(ens)
+
+    monkeypatch.setattr(cuelab.ensembles, "_INERTIA_SLACK", np.inf)
+    monkeypatch.setattr(experiments, "roots_oracle", oracle)
+    fallback = run_fraction_on_circle(cfg)
+    assert len(calls) == exact.estimates[0].n == 20
+    assert to_json_text(fallback) == to_json_text(exact)
+
+
 def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
     # the stacked count marks a degenerate row -1; the wrapper marks every third row
     real = experiments.sign_changes

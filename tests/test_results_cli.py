@@ -232,6 +232,34 @@ def test_usage_errors_exit_with_code_2(argv):
 # ---------------------------------------------------------------------------
 
 
+def test_one_parser_serves_every_parse():
+    # the parser is built once per process; a sequence of subcommands with a
+    # usage error in the middle parses as fresh parsers do
+    sequence = [
+        ["fraction", "--dims", "8,16", "--coeffs", "1,-1", "--samples", "30"],
+        ["carrier", "--delta", "0.1", "--subdivisions", "4", "--seed", "5"],
+        ["moments", "--dims", "8", "--format", "csv"],
+        ["gaps", "--coeffs", "1,1"],
+        ["selftest"],
+        ["fraction", "--grid-factor", "4"],
+        ["clt", "--dims", "64,256", "--samples", "1500"],
+    ]
+
+    def parse(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            return parse_cli(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    reused = [parse(argv, fresh=False) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [parse(argv, fresh=True) for argv in sequence]
+    assert reused[3] == 2
+    assert reused == fresh
+
+
 def test_main_selftest_green(capsys):
     code = main(["selftest", "--seed", "11"])
     out, err = capsys.readouterr()
