@@ -70,6 +70,7 @@ from .ensembles import (
 )
 from .carrier import (
     CarrierWaveConfig,
+    base_angles,
     carrier_wave_index,
     exceptional_mask,
     narrow_gap_count,

@@ -8,12 +8,13 @@ the carrier index, the circle subdivision with its base-angle selection,
 the roomy/narrow gap threshold of the subdivision, and the narrow-pair
 counter chi_eps.
 
-The L_j functions work on whole batches of points, as the carrier runner
-uses them: :func:`normalized_logs` takes every point in one
-:func:`~cuelab.spectra.log_z_grid` call over all spectra of the ensemble,
-and :func:`exceptional_mask` and :func:`carrier_wave_index` read its
-(n, ...) array.  A :class:`CarrierWaveConfig` stores N, K, delta and
-theta0; M = N/K and Delta = 2pi/K are computed from them.
+The functions take rows of sorted angles, shape (..., N), and whole
+batches of points, as the carrier runner uses them: :func:`normalized_logs`
+takes every point in one :func:`~cuelab.spectra.log_z_grid` call over all
+rows, and :func:`exceptional_mask` and :func:`carrier_wave_index` read its
+(n, ...) array.  A :class:`CarrierWaveConfig` stores N, K and delta;
+M = N/K and Delta = 2pi/K are computed from them, and each sample's base
+angle theta0 comes from :func:`base_angles`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import CombinationEnsemble
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, EigenangleSpectrum, log_z_grid
+from .spectra import TWO_PI, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
@@ -33,6 +33,7 @@ __all__ = [
     "exceptional_mask",
     "carrier_wave_index",
     "subdivision",
+    "base_angles",
     "narrow_gap_threshold",
     "narrow_gap_count",
 ]
@@ -43,16 +44,18 @@ _THETA0_CANDIDATES = 64
 _GAP_PAD = 1e-9
 
 
-def normalized_logs(ens: CombinationEnsemble, thetas) -> np.ndarray:
-    """L_j(theta) = log|Z_j(theta)| / sqrt(log(N)/2) for each spectrum.
+def normalized_logs(angles, thetas) -> np.ndarray:
+    """L_j(theta) = log|Z_j(theta)| / sqrt(log(N)/2) for each row of angles.
 
-    One kernel call for all spectra and points; the shape is
-    (n,) + np.shape(thetas), and L_j is -inf where theta is an eigenangle
-    of spectrum j.
+    One kernel call for all rows (..., N) of angles and all points; the
+    shape is angles.shape[:-1] + np.shape(thetas), and L_j is -inf where
+    theta is an eigenangle of row j.
     """
-    if ens.dim < 2:
+    angles = np.asarray(angles, dtype=float)
+    n_dim = angles.shape[-1]
+    if n_dim < 2:
         raise InvalidArgumentError("log-modulus normalization requires N >= 2")
-    return log_z_grid(ens.angles, thetas)[0] / math.sqrt(0.5 * math.log(ens.dim))
+    return log_z_grid(angles, thetas)[0] / math.sqrt(0.5 * math.log(n_dim))
 
 
 def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
@@ -90,14 +93,14 @@ def carrier_wave_index(logs: np.ndarray) -> np.ndarray:
 class CarrierWaveConfig:
     """Circle subdivision for carrier-wave bookkeeping.
 
-    K subintervals of length Delta = 2pi/K starting at theta0; M = N/K is
-    the mean eigenangle count per subinterval; 2 <= K <= N/2 makes M >= 2.
+    K subintervals of length Delta = 2pi/K, the first starting at a
+    sample's base angle (see :func:`base_angles`); M = N/K is the mean
+    eigenangle count per subinterval; 2 <= K <= N/2 makes M >= 2.
     """
 
     N: int
     K: int
     delta: float
-    theta0: float
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
@@ -115,13 +118,6 @@ class CarrierWaveConfig:
     def Delta(self) -> float:
         return TWO_PI / self.K
 
-    def theta_k(self, k):
-        """Left endpoint of subinterval k (k may equal K: the wrap point).
-
-        k may also be an integer array, giving one endpoint per entry.
-        """
-        return self.theta0 + self.Delta * k
-
 
 def _default_subdivision_count(n_dim: int) -> int:
     # nominal K ~ N/(log N)^{3/64}, clamped into the invariant box
@@ -134,11 +130,32 @@ def _default_delta(n_dim: int) -> float:
     return min(math.log(n_dim) ** (-3.0 / 32.0), float(np.nextafter(0.25, 0.0)))
 
 
-def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
-    """Empirical base-angle selection over 64 candidates in [0, Delta).
+def subdivision(
+    n_dim: int, k_div: int | None = None, delta: float | None = None
+) -> CarrierWaveConfig:
+    """Build the circle subdivision, defaulting K and delta from N.
 
-    Minimizes the summed endpoint increments of Im log Z over the
-    subdivision — sum over spectra and subintervals of
+    Nominal schedules K ~ N/(log N)^{3/64} and delta ~ (log N)^{-3/32} are
+    clamped into the invariant ranges 2 <= K <= N/2 and delta < 1/4 (at
+    practical N the nominal values overshoot both).
+    """
+    if not isinstance(n_dim, (int, np.integer)) or n_dim < 4:
+        raise InvalidConfigError(f"subdivision requires integer N >= 4, got {n_dim!r}")
+    if k_div is None:
+        k_div = _default_subdivision_count(n_dim)
+    if delta is None:
+        delta = _default_delta(n_dim)
+    return CarrierWaveConfig(N=int(n_dim), K=int(k_div), delta=float(delta))
+
+
+def base_angles(angles, config: CarrierWaveConfig) -> np.ndarray:
+    """Empirical base angle theta0 in [0, Delta) of each sample of a stack.
+
+    ``angles`` has shape (S, T, N): the T sorted spectra of each of S
+    samples; the result has shape (S,).  For each sample the scan takes the
+    one of 64 candidates in [0, Delta) that minimizes the summed endpoint
+    increments of Im log Z over the subdivision — sum over spectra and
+    subintervals of
     |Im log Z(theta_k + (1 - sqrt(delta)) Delta) - Im log Z(theta_k + sqrt(delta) Delta)| —
     an empirical surrogate for the averaged form that defines theta0.  Each
     increment is pi |#{angles in [lo, hi)} - N (hi - lo)/2pi|, so the scan
@@ -148,60 +165,32 @@ def _select_theta0(ens: CombinationEnsemble, k_div: int, delta: float) -> float:
     float spacing at 2pi holds no angle short of an exact float
     coincidence, so every candidate ties: the scan is skipped, theta0 = 0.
     """
-    big_delta = TWO_PI / k_div
-    lo = math.sqrt(delta) * big_delta
-    hi = (1.0 - math.sqrt(delta)) * big_delta
+    angles = np.asarray(angles, dtype=float)
+    n_dim = angles.shape[-1]
+    big_delta = config.Delta
+    lo = math.sqrt(config.delta) * big_delta
+    hi = (1.0 - math.sqrt(config.delta)) * big_delta
     if hi - lo <= np.spacing(TWO_PI):
-        return 0.0
+        return np.zeros(len(angles))
     candidates = np.arange(_THETA0_CANDIDATES) * (big_delta / _THETA0_CANDIDATES)
-    offsets = np.arange(k_div) * big_delta
+    offsets = np.arange(config.K) * big_delta
     # ends[e, c, k]: endpoint e (0 = lo, 1 = hi) of subinterval k for
-    # candidate c; below[j, e, c, k] counts the angles of spectrum j under it.
+    # candidate c; below[s, j, e, c, k] counts the angles of spectrum j of
+    # sample s under it.
     base = candidates[:, None] + offsets[None, :]
     ends = np.mod(np.stack([base + lo, base + hi]), TWO_PI)
-    below = np.stack([np.searchsorted(row, ends) for row in ens.angles])
-    inside = below[:, 1] - below[:, 0] + ens.dim * (ends[1] < ends[0])
-    deviations = np.abs(inside - ens.dim * (hi - lo) / TWO_PI).swapaxes(0, 1)
-    scores = [math.fsum(row.ravel()) for row in deviations]
-    return float(candidates[int(np.argmin(scores))])
+    below = np.stack([np.searchsorted(row, ends) for row in angles.reshape(-1, n_dim)])
+    below = below.reshape(angles.shape[:-1] + below.shape[1:])
+    inside = below[:, :, 1] - below[:, :, 0] + n_dim * (ends[1] < ends[0])
+    deviations = np.abs(inside - n_dim * (hi - lo) / TWO_PI).swapaxes(1, 2)
+    scores = np.array([[math.fsum(row.ravel()) for row in sample] for sample in deviations])
+    return candidates[np.argmin(scores, axis=1)]
 
 
-def subdivision(
-    n_dim: int,
-    k_div: int | None = None,
-    delta: float | None = None,
-    ens: CombinationEnsemble | None = None,
-) -> CarrierWaveConfig:
-    """Build the circle subdivision, defaulting K and delta from N.
-
-    Nominal schedules K ~ N/(log N)^{3/64} and delta ~ (log N)^{-3/32} are
-    clamped into the invariant ranges 2 <= K <= N/2 and delta < 1/4 (at
-    practical N the nominal values overshoot both).  With an ensemble
-    supplied, theta0 is chosen by the empirical 64-candidate scan;
-    otherwise theta0 = 0, as the scan also gives at the default delta.
-    """
-    if not isinstance(n_dim, (int, np.integer)) or n_dim < 4:
-        raise InvalidConfigError(f"subdivision requires integer N >= 4, got {n_dim!r}")
-    if k_div is None:
-        k_div = _default_subdivision_count(n_dim)
-    if delta is None:
-        delta = _default_delta(n_dim)
-    delta = float(delta)
-    theta0 = 0.0
-    if ens is not None:
-        if ens.dim != n_dim:
-            raise InvalidConfigError(f"ensemble dim {ens.dim} != N = {n_dim}")
-        theta0 = _select_theta0(ens, int(k_div), delta)
-    return CarrierWaveConfig(N=int(n_dim), K=int(k_div), delta=delta, theta0=theta0)
-
-
-def narrow_gap_threshold(config: CarrierWaveConfig, c_prime: float = 1.0) -> float:
-    """c' (M/N) delta^{-2} (log N)^{-1/4} (log M)^{1/2}, the roomy/narrow cut."""
-    if c_prime <= 0.0:
-        raise InvalidArgumentError(f"c_prime must be positive, got {c_prime!r}")
+def narrow_gap_threshold(config: CarrierWaveConfig) -> float:
+    """(M/N) delta^{-2} (log N)^{-1/4} (log M)^{1/2}, the roomy/narrow cut."""
     return (
-        c_prime
-        * (config.M / config.N)
+        (config.M / config.N)
         * config.delta**-2
         * math.log(config.N) ** -0.25
         * math.sqrt(math.log(config.M))
@@ -228,7 +217,7 @@ def narrow_gap_count(spec, eps) -> int | np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.ndim > 1 or eps.size == 0 or not np.all(eps > 0.0):
         raise InvalidArgumentError(f"eps must be positive, got {eps.tolist()!r}")
-    angles = np.asarray(spec.angles if isinstance(spec, EigenangleSpectrum) else spec, dtype=float)
+    angles = np.asarray(getattr(spec, "angles", spec), dtype=float)
     rows = angles.reshape(-1, angles.shape[-1])
     m, n = rows.shape
     thresholds = np.reshape(eps / n, (-1, 1))

@@ -17,8 +17,8 @@ and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
 the sign changes of all its ensembles with one stacked ``sign_changes``
 call, whose level loop refines every bracket of the block at once.  A
 ``fraction`` block takes its exact circle-zero counts with one stacked
-``circle_zero_counts`` call; a ``carrier`` sample's rows of angles form
-its CombinationEnsemble as they are.
+``circle_zero_counts`` call; a ``carrier`` block builds one subdivision
+and reduces all of its samples as arrays, with no ensemble object.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -65,7 +65,7 @@ from .ensembles import (
     sign_changes,
 )
 from .carrier import (
-    carrier_wave_index, exceptional_mask, narrow_gap_count, narrow_gap_threshold,
+    base_angles, carrier_wave_index, exceptional_mask, narrow_gap_count, narrow_gap_threshold,
     normalized_logs, subdivision,
 )
 from .results import EstimateRow, ResultRecord
@@ -788,69 +788,68 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
 # carrier-wave diagnostics
 
 
-def _sample_carrier(gen, count, payload) -> list:
-    """The carrier diagnostics of ``count`` ensembles, one row each.
+def _sample_carrier(gen, count, payload) -> np.ndarray:
+    """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds) per ensemble.
 
-    The block's sign changes come from one stacked count; a degenerate
-    ensemble is a NaN row, and every other row is reduced on its own.
+    The block is reduced as arrays over its (S, T, N) angles: one stacked
+    sign-change count, one subdivision, one ``normalized_logs`` call on the
+    64 N grid and one per sample on its own points, which start at its base
+    angle theta0.  A degenerate ensemble is a NaN row.
     """
     dim, coeffs, k_div, delta, grid_factor = payload
+    config = subdivision(dim, k_div, delta)
     angles = _su_spectra(gen, count, dim, len(coeffs))
     measured = sign_changes((coeffs, angles), grid_factor=grid_factor)
-    return [
-        _carrier_row(CombinationEnsemble(coeffs, sample), k_div, delta, int(changes))
-        if changes >= 0 else (math.nan,) * 7
-        for sample, changes in zip(angles, measured)
-    ]
-
-
-def _carrier_row(ens: CombinationEnsemble, k_div, delta, measured: int) -> tuple:
-    """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds)."""
-    dim = ens.dim
-    config = subdivision(dim, k_div, delta, ens)
-    delta_eff = config.delta
+    out = np.full((count, 7), math.nan)
+    rows = np.flatnonzero(measured >= 0)
+    if rows.size == 0:
+        return out
+    angles, measured = angles[rows], measured[rows]
     grid = 64 * dim
     thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    logs = normalized_logs(ens, thetas)
-    mask = exceptional_mask(logs, delta_eff)
-    mask_half = exceptional_mask(logs, delta_eff / 2.0)
-    lam = float(mask.mean()) * TWO_PI
-    lam_half = float(mask_half.mean()) * TWO_PI
-    monotone = 1.0 if bool(np.all(mask_half <= mask)) else 0.0
-    # Per subinterval k: 8 stability points, then 16 bound candidates at
-    # the left edge, all evaluated by one kernel call.
-    lefts = config.theta_k(np.arange(config.K))
-    pad = math.sqrt(delta_eff) * config.Delta
-    offsets = np.linspace(0.0, pad, 16, endpoint=False)
+    logs = np.moveaxis(normalized_logs(angles, thetas), 1, 0)  # (T, S, grid)
+    mask = exceptional_mask(logs, config.delta)
+    mask_half = exceptional_mask(logs, config.delta / 2.0)
+    # Per subinterval k of sample s: 8 stability points, then 16 bound
+    # candidates at the left edge, from one kernel call per sample.
+    lefts = base_angles(angles, config)[:, None] + config.Delta * np.arange(config.K)
+    offsets = np.linspace(0.0, math.sqrt(config.delta) * config.Delta, 16, endpoint=False)
     steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
-    points = np.mod(lefts[:, None] + np.concatenate([steps, offsets]), TWO_PI)
-    point_logs = normalized_logs(ens, points)
-    usable = ~exceptional_mask(point_logs, delta_eff)
+    points = np.mod(lefts[..., None] + np.concatenate([steps, offsets]), TWO_PI)  # (S, K, 24)
+    point_logs = np.stack([normalized_logs(a, p) for a, p in zip(angles, points)], axis=1)
+    usable = ~exceptional_mask(point_logs, config.delta)
     carriers = carrier_wave_index(point_logs)
     # Carrier-index stability: on each subinterval, the index evaluated on
-    # the 8-point grid (outside the exceptional set) must not move.
-    stable = sum(len(set(carriers[kk, :8][usable[kk, :8]])) <= 1 for kk in range(config.K))
-    stability = stable / config.K
+    # the 8-point grid (outside the exceptional set) must not move, so its
+    # largest usable value may not exceed its smallest.
+    seen, index = usable[..., :8], carriers[..., :8]
+    stable = (np.max(np.where(seen, index, 0), axis=-1)
+              <= np.min(np.where(seen, index, len(coeffs)), axis=-1))
     # Proof-chain lower bound: from a non-exceptional base point near the
     # left edge of each subinterval, count the carrier's eigenangles in the
     # remainder of the subinterval and subtract the narrow-gap penalty.
-    threshold = narrow_gap_threshold(config, 1.0)
-    has_base = np.any(usable[:, 8:], axis=1)
-    first = np.argmax(usable[:, 8:], axis=1)
-    bases = points[np.arange(config.K), 8 + first]
+    has_base = np.any(usable[..., 8:], axis=-1)
+    first = np.argmax(usable[..., 8:], axis=-1)
+    bases = np.take_along_axis(points[..., 8:], first[..., None], axis=-1)[..., 0]
+    terms = np.take_along_axis(carriers[..., 8:], first[..., None], axis=-1)[..., 0] - 1
     # the carrier index means nothing on an eigenangle: check where it is read
-    _check_regular(ens.angles, np.concatenate([points[:, :8][usable[:, :8]], bases[has_base]]))
-    bound = 0
-    for kk in np.nonzero(has_base)[0]:
-        base = float(bases[kk])
-        arc = config.Delta - float(offsets[first[kk]])
-        carrier = ens.angles[carriers[kk, 8 + first[kk]] - 1]
-        relative = np.sort(np.mod(carrier - base, TWO_PI))
-        inside = relative[relative < arc]
-        psi = int(np.count_nonzero(np.diff(inside) <= threshold)) if inside.size > 1 else 0
-        bound += max(0, inside.size - 2 - 2 * psi)
-    holds = 1.0 if bound <= measured else 0.0
-    return (lam, lam_half, monotone, stability, float(bound), float(measured), holds)
+    for a, p, u, b, h in zip(angles, points, usable, bases, has_base):
+        _check_regular(a, np.concatenate([p[:, :8][u[:, :8]], b[h]]))
+    carrier = angles[np.arange(len(angles))[:, None], terms]  # (S, K, N)
+    relative = np.sort(np.mod(carrier - bases[..., None], TWO_PI), axis=-1)
+    arcs = config.Delta - offsets[first]
+    # relative is sorted, so the angles inside the arc are a prefix of it,
+    # and psi counts the narrow differences within that prefix
+    inside = np.count_nonzero(relative < arcs[..., None], axis=-1)
+    narrow = np.diff(relative, axis=-1) <= narrow_gap_threshold(config)
+    psi = np.count_nonzero(narrow & (np.arange(dim - 1) < inside[..., None] - 1), axis=-1)
+    bound = np.sum(np.where(has_base, np.maximum(0, inside - 2 - 2 * psi), 0), axis=-1)
+    out[rows] = np.column_stack([
+        mask.mean(axis=-1) * TWO_PI, mask_half.mean(axis=-1) * TWO_PI,
+        np.all(mask_half <= mask, axis=-1), np.sum(stable, axis=-1) / config.K,
+        bound, measured, bound <= measured,
+    ])
+    return out
 
 
 def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:

@@ -9,6 +9,7 @@ import pytest
 from cuelab import RngStream, haar_special_unitary, haar_unitary
 from cuelab.carrier import (
     CarrierWaveConfig,
+    base_angles,
     carrier_wave_index,
     exceptional_mask,
     narrow_gap_count,
@@ -43,7 +44,6 @@ def test_subdivision_defaults_at_n64():
     assert cfg.M == 2.0
     assert 0 < cfg.delta < 0.25
     assert cfg.Delta == pytest.approx(2 * np.pi / cfg.K)
-    assert cfg.theta0 == 0.0
 
 
 @pytest.mark.parametrize("n_dim", [4, 8, 32, 200, 1000])
@@ -56,8 +56,8 @@ def test_subdivision_clamps_into_invariant_ranges(n_dim):
 
 def test_subdivision_scan_picks_theta0_inside_first_window():
     ens = su_ensemble(2, 16, salt=1)
-    cfg = subdivision(16, delta=0.2, ens=ens)
-    assert 0.0 <= cfg.theta0 < cfg.Delta
+    cfg = subdivision(16, delta=0.2)
+    assert 0.0 <= base_angles(ens.angles[None], cfg)[0] < cfg.Delta
 
 
 def brute_force_theta0(ens, k_div, delta):
@@ -81,10 +81,11 @@ def brute_force_theta0(ens, k_div, delta):
 
 
 def test_subdivision_scan_equals_brute_force_count():
-    for salt in range(2, 6):
-        ens = su_ensemble(3, 64, salt=salt)
-        cfg = subdivision(64, delta=0.05, ens=ens)
-        assert cfg.theta0 == brute_force_theta0(ens, cfg.K, 0.05)
+    # one stacked scan over four samples, each equal to its own brute force
+    ensembles = [su_ensemble(3, 64, salt=salt) for salt in range(2, 6)]
+    cfg = subdivision(64, delta=0.05)
+    theta0 = base_angles(np.stack([ens.angles for ens in ensembles]), cfg)
+    assert theta0.tolist() == [brute_force_theta0(ens, cfg.K, 0.05) for ens in ensembles]
 
 
 def test_subdivision_scan_at_default_delta_is_a_tie_at_zero(monkeypatch):
@@ -92,12 +93,13 @@ def test_subdivision_scan_at_default_delta_is_a_tie_at_zero(monkeypatch):
     # 1e-16 Delta wide, under the float spacing at 2pi, and hold no angle,
     # so every candidate ties and the scan is skipped
     ensembles = [su_ensemble(3, 64, salt=salt) for salt in range(6, 12)]
+    cfg = subdivision(64)
     for ens in ensembles:
-        cfg = subdivision(64, ens=ens)
-        assert cfg.theta0 == brute_force_theta0(ens, cfg.K, cfg.delta) == 0.0
+        theta0 = base_angles(ens.angles[None], cfg)[0]
+        assert theta0 == brute_force_theta0(ens, cfg.K, cfg.delta) == 0.0
     monkeypatch.setattr(np, "searchsorted", None)  # the scan's counting call
     for ens in ensembles:
-        assert subdivision(64, ens=ens).theta0 == 0.0
+        assert base_angles(ens.angles[None], cfg)[0] == 0.0
 
 
 def test_subdivision_scan_ignores_rounding_sized_moves():
@@ -108,8 +110,8 @@ def test_subdivision_scan_ignores_rounding_sized_moves():
             [EigenangleSpectrum(spec.angles + 1e-15, spec.det_phase) for spec in ens.spectra],
         )
         for delta in (0.05, 0.2):
-            theta0 = subdivision(64, delta=delta, ens=ens).theta0
-            assert subdivision(64, delta=delta, ens=moved).theta0 == theta0
+            theta0 = base_angles(ens.angles[None], subdivision(64, delta=delta))[0]
+            assert base_angles(moved.angles[None], subdivision(64, delta=delta))[0] == theta0
 
 
 def test_subdivision_rejects_bad_parameters():
@@ -125,18 +127,16 @@ def test_subdivision_rejects_bad_parameters():
 
 def test_config_consistency_enforced():
     # M = N/K and Delta = 2pi/K are derived; 2 <= K <= N/2 keeps M >= 2
-    cfg = CarrierWaveConfig(N=8, K=4, delta=0.2, theta0=0.0)
+    cfg = CarrierWaveConfig(N=8, K=4, delta=0.2)
     assert cfg.M == 2.0 and cfg.Delta == 2 * np.pi / 4
     for k_div in (1, 5):
         with pytest.raises(InvalidConfigError):
-            CarrierWaveConfig(N=8, K=k_div, delta=0.2, theta0=0.0)
+            CarrierWaveConfig(N=8, K=k_div, delta=0.2)
 
 
 def test_narrow_gap_threshold_scaling():
     cfg = subdivision(64, delta=0.2)
-    base = narrow_gap_threshold(cfg, 1.0)
-    assert base == pytest.approx(0.4554687478042829, rel=1e-10)
-    assert narrow_gap_threshold(cfg, 2.0) == pytest.approx(2 * base, rel=1e-12)
+    assert narrow_gap_threshold(cfg) == pytest.approx(0.4554687478042829, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +147,35 @@ def test_narrow_gap_threshold_scaling():
 def test_normalized_logs_shape_and_scale():
     ens = su_ensemble(3, 16, salt=2)
     theta = 1.2345
-    logs = normalized_logs(ens, theta)
+    logs = normalized_logs(ens.angles, theta)
     assert logs.shape == (3,)
     norm = np.sqrt(np.log(16) / 2.0)
     direct = np.array([log_z(spec, theta).re for spec in ens.spectra]) / norm
     np.testing.assert_allclose(logs, direct, atol=1e-12)
     # a batch of points: one row per spectrum, in the points' shape
     thetas = np.array([[0.1, 2.0, 4.0], [theta, 5.0, 6.0]])
-    grid = normalized_logs(ens, thetas)
+    grid = normalized_logs(ens.angles, thetas)
     assert grid.shape == (3, 2, 3)
     np.testing.assert_allclose(grid[:, 1, 0], logs, atol=1e-12)
 
 
 def test_normalized_logs_singular_on_eigenangle():
     ens = su_ensemble(2, 8, salt=3)
-    logs = normalized_logs(ens, float(ens.spectra[0].angles[2]))
+    logs = normalized_logs(ens.angles, float(ens.spectra[0].angles[2]))
     assert logs[0] == -np.inf
     assert np.isfinite(logs[1])
 
 
 def test_exceptional_mask_flags_singular_points_and_grows_with_delta():
     ens = su_ensemble(2, 16, salt=4)
-    logs = normalized_logs(ens, np.linspace(0.01, 2 * np.pi - 0.01, 257))
+    logs = normalized_logs(ens.angles, np.linspace(0.01, 2 * np.pi - 0.01, 257))
     small = exceptional_mask(logs, 0.05)
     large = exceptional_mask(logs, 0.2)
     assert small.dtype == bool
     assert small.shape == (257,)
     assert np.all(large[small])  # pointwise monotone in delta
     # a grid point exactly on an eigenangle is always exceptional
-    on_angle = normalized_logs(ens, ens.spectra[0].angles[:1])
+    on_angle = normalized_logs(ens.angles, ens.spectra[0].angles[:1])
     assert exceptional_mask(on_angle, 0.05)[0]
     for delta in (0.0, 0.5):
         with pytest.raises(InvalidArgumentError):
@@ -220,7 +220,7 @@ def test_exceptional_mask_quiet_on_shared_eigenangle():
     ens = CombinationEnsemble(np.array([1.0, 2.0]), [spec, spec])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mask = exceptional_mask(normalized_logs(ens, spec.angles[:1]), 0.05)
+        mask = exceptional_mask(normalized_logs(ens.angles, spec.angles[:1]), 0.05)
     assert mask[0]
 
 
@@ -229,7 +229,7 @@ def test_exceptional_measure_bounds_and_monotonicity():
     # midpoints of 64 N equal cells
     ens = su_ensemble(2, 16, salt=5)
     grid = 64 * 16
-    logs = normalized_logs(ens, (np.arange(grid) + 0.5) * (2 * np.pi / grid))
+    logs = normalized_logs(ens.angles, (np.arange(grid) + 0.5) * (2 * np.pi / grid))
     measures = [float(exceptional_mask(logs, d).mean()) for d in (0.05, 0.1, 0.2)]
     for m in measures:
         assert 0.0 <= m <= 1.0
@@ -240,7 +240,7 @@ def test_carrier_index_is_argmax_one_based():
     ens = su_ensemble(3, 16, salt=6)
     g = RngStream(SEED, 7).generator()
     thetas = g.uniform(0.0, 2 * np.pi, size=12)
-    idx = carrier_wave_index(normalized_logs(ens, thetas))
+    idx = carrier_wave_index(normalized_logs(ens.angles, thetas))
     assert idx.shape == (12,)
     for theta, i in zip(thetas, idx):
         direct = [log_z(spec, float(theta)).re for spec in ens.spectra]
@@ -250,7 +250,7 @@ def test_carrier_index_is_argmax_one_based():
 
 def test_single_term_carrier_is_trivial():
     ens = su_ensemble(1, 8, salt=8)
-    idx = carrier_wave_index(normalized_logs(ens, np.array([0.3, 2.2, 5.1])))
+    idx = carrier_wave_index(normalized_logs(ens.angles, np.array([0.3, 2.2, 5.1])))
     np.testing.assert_array_equal(idx, [1, 1, 1])
 
 

@@ -16,6 +16,9 @@ import pytest
 
 import cuelab
 from cuelab import cli, experiments
+from cuelab.carrier import (
+    base_angles, carrier_wave_index, exceptional_mask, normalized_logs, subdivision,
+)
 from cuelab.cli import main as cli_main
 from cuelab.errors import (
     CuelabError,
@@ -566,6 +569,118 @@ def test_carrier_runner_single_matrix_is_stable_everywhere():
     names = [c[0] for c in rec.checks()]
     assert any("single wave" in name for name in names)
     assert failed_checks(rec) == []
+
+
+def carrier_row_reference(angles, config, threshold, measured):
+    # (stability, bound, holds) of one sample by the per-subinterval loop
+    # that the block reduction replaced
+    theta0 = base_angles(angles[None], config)[0]
+    lefts = theta0 + config.Delta * np.arange(config.K)
+    offsets = np.linspace(0.0, np.sqrt(config.delta) * config.Delta, 16, endpoint=False)
+    steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
+    points = np.mod(lefts[:, None] + np.concatenate([steps, offsets]), 2 * np.pi)
+    logs = normalized_logs(angles, points)
+    usable = ~exceptional_mask(logs, config.delta)
+    carriers = carrier_wave_index(logs)
+    stable = sum(len(set(carriers[k, :8][usable[k, :8]])) <= 1 for k in range(config.K))
+    bound = 0
+    for k in np.nonzero(np.any(usable[:, 8:], axis=1))[0]:
+        first = int(np.argmax(usable[k, 8:]))
+        carrier = angles[carriers[k, 8 + first] - 1]
+        relative = np.sort(np.mod(carrier - points[k, 8 + first], 2 * np.pi))
+        inside = relative[relative < config.Delta - offsets[first]]
+        psi = int(np.count_nonzero(np.diff(inside) <= threshold)) if inside.size > 1 else 0
+        bound += max(0, inside.size - 2 - 2 * psi)
+    return stable / config.K, bound, bound <= measured
+
+
+@pytest.mark.parametrize(
+    "dim, k_div, delta, coeffs",
+    [
+        (32, 4, 0.2, (1.0,)),
+        (64, 8, 0.1, (1.0, 1.0)),
+        (64, 16, 0.2, (2.0, -1.0)),
+        (128, 16, 0.1, (1.0, 2.0, 3.0)),
+    ],
+)
+def test_carrier_block_bound_equals_the_per_subinterval_loop(monkeypatch, dim, k_div, delta,
+                                                             coeffs):
+    # At every default setting the summed bound is 0, so no record can see
+    # a wrong one; a narrow-gap cut of half the mean spacing makes it positive.
+    threshold = 0.5 * 2 * np.pi / dim
+    monkeypatch.setattr(experiments, "narrow_gap_threshold", lambda config: threshold)
+    count, seed = 8, 52010
+    rows = experiments._sample_carrier(
+        experiments._stream(seed, 0, 0).generator(), count, (dim, coeffs, k_div, delta, 8))
+    angles = experiments._su_spectra(
+        experiments._stream(seed, 0, 0).generator(), count, dim, len(coeffs))
+    config = subdivision(dim, k_div, delta)
+    reference = [carrier_row_reference(a, config, threshold, m) for a, m in zip(angles, rows[:, 5])]
+    np.testing.assert_array_equal(rows[:, [3, 4, 6]], reference)
+    assert np.all(rows[:, 4] > 0)
+
+
+def test_carrier_bound_leaves_out_an_angle_on_the_arc_end(monkeypatch):
+    # The arc from a base point is half-open.  One eigenangle is moved onto
+    # the end of subinterval 1's arc, exactly in floating point; at the
+    # default delta the base angle is 0, so the move cannot shift the arcs.
+    dim, seed = 32, 52011
+    threshold = 0.5 * 2 * np.pi / dim
+    monkeypatch.setattr(experiments, "narrow_gap_threshold", lambda config: threshold)
+    config = subdivision(dim, 4)
+    angles = experiments._su_spectra(experiments._stream(seed, 0, 0).generator(), 1, dim, 1)
+    offsets = np.linspace(0.0, np.sqrt(config.delta) * config.Delta, 16, endpoint=False)
+    candidates = config.Delta + offsets
+    first = int(np.argmax(~exceptional_mask(normalized_logs(angles[0], candidates), config.delta)))
+    base, arc = candidates[first], config.Delta - offsets[first]
+    end = base + arc
+    for _ in range(64):  # a few ulps from base + arc
+        miss = arc - np.mod(end - base, 2 * np.pi)
+        if miss == 0.0:
+            break
+        end = np.nextafter(end, end + miss)
+    assert np.mod(end - base, 2 * np.pi) == arc
+    # the angle farthest from the end moves back by as much: det 1 stays
+    row = angles[0, 0]
+    near = np.argmin(np.abs(row - end))
+    far = np.argmax(np.abs(np.mod(row - end + np.pi, 2 * np.pi) - np.pi))
+    row[far] = np.mod(row[far] - (end - row[near]), 2 * np.pi)
+    row[near] = end
+    row.sort()
+    logs = normalized_logs(angles[0], candidates)
+    assert int(np.argmax(~exceptional_mask(logs, config.delta))) == first
+    monkeypatch.setattr(experiments, "_su_spectra", lambda gen, count, n, terms: angles)
+    (got,) = experiments._sample_carrier(None, 1, (dim, (1.0,), 4, None, 8))
+    assert [got[3], got[4], got[6]] == list(carrier_row_reference(angles[0], config, threshold, got[5]))
+
+
+def test_carrier_reduces_each_block_once_without_an_ensemble(monkeypatch):
+    # one subdivision and one stacked sign-change count per block, besides
+    # the runner's own subdivision that checks the sizes before any draw,
+    # and no CombinationEnsemble anywhere
+    real_subdivision, real_changes = experiments.subdivision, experiments.sign_changes
+    subdivisions, stacks = [], []
+
+    def counted_subdivision(*args):
+        subdivisions.append(args)
+        return real_subdivision(*args)
+
+    def counted_changes(stack, **kwargs):
+        stacks.append(len(stack[1]))
+        return real_changes(stack, **kwargs)
+
+    def no_ensemble(self):
+        raise AssertionError("carrier built a CombinationEnsemble")
+
+    monkeypatch.setattr(experiments, "subdivision", counted_subdivision)
+    monkeypatch.setattr(experiments, "sign_changes", counted_changes)
+    monkeypatch.setattr(cuelab.ensembles.CombinationEnsemble, "__post_init__", no_ensemble)
+    # N = 16 with two terms: 64 samples per block, so 70 samples make two blocks
+    rec = run_carrier_diagnostics(ExperimentConfig(
+        experiment="carrier", dims=(16,), samples=70, seed=3, delta=0.1, workers=1))
+    assert subdivisions == [(16, None, 0.1)] * 3
+    assert stacks == [64, 6]
+    assert rec.estimates[0].n == 70
 
 
 def test_fraction_runner_audits_and_baseline():
