@@ -72,6 +72,7 @@ from .carrier import (
     CarrierWaveConfig,
     base_angles,
     carrier_wave_index,
+    exceptional_grid,
     exceptional_mask,
     narrow_gap_count,
     narrow_gap_threshold,

@@ -12,9 +12,13 @@ The functions take rows of sorted angles, shape (..., N), and whole
 batches of points, as the carrier runner uses them: :func:`normalized_logs`
 takes every point in one :func:`~cuelab.spectra.log_z_grid` call over all
 rows, and :func:`exceptional_mask` and :func:`carrier_wave_index` read its
-(n, ...) array.  A :class:`CarrierWaveConfig` stores N, K and delta;
-M = N/K and Delta = 2pi/K are computed from them, and each sample's base
-angle theta0 comes from :func:`base_angles`.
+(n, ...) array.  :func:`exceptional_grid` measures E_delta and
+E_{delta/2} on the 64 N-point grid from each spectrum's coefficients, one
+zero-padded FFT per spectrum, and certifies every mask decision; a stack
+with a point it cannot certify takes the kernel on the whole grid instead.
+A :class:`CarrierWaveConfig` stores N, K and delta; M = N/K and
+Delta = 2pi/K are computed from them, and each sample's base angle theta0
+comes from :func:`base_angles`.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import _VALUE_NOISE
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, log_z_grid
+from .spectra import TWO_PI, _fft_samples, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
     "normalized_logs",
     "exceptional_mask",
+    "exceptional_grid",
     "carrier_wave_index",
     "subdivision",
     "base_angles",
@@ -39,9 +45,21 @@ __all__ = [
 ]
 
 _THETA0_CANDIDATES = 64
+# Points per eigenangle of the grid on which exceptional_grid measures E_delta.
+_GRID_PER_ANGLE = 64
+# How many bounds b_j an FFT value's L_j, or b_i + b_j its gap, must sit
+# from a threshold for exceptional_grid to take its decision.
+_GRID_MARGIN = 3.0
 # Padding of the narrow_gap_count search keys: far above the rounding of an
 # angle sum, so no pair the exact predicate counts falls outside the search.
 _GAP_PAD = 1e-9
+
+
+def _log_scale(n_dim: int) -> float:
+    """sqrt(log(N)/2), the scale of the normalized logs."""
+    if n_dim < 2:
+        raise InvalidArgumentError("log-modulus normalization requires N >= 2")
+    return math.sqrt(0.5 * math.log(n_dim))
 
 
 def normalized_logs(angles, thetas) -> np.ndarray:
@@ -52,10 +70,15 @@ def normalized_logs(angles, thetas) -> np.ndarray:
     theta is an eigenangle of row j.
     """
     angles = np.asarray(angles, dtype=float)
-    n_dim = angles.shape[-1]
-    if n_dim < 2:
-        raise InvalidArgumentError("log-modulus normalization requires N >= 2")
-    return log_z_grid(angles, thetas)[0] / math.sqrt(0.5 * math.log(n_dim))
+    scale = _log_scale(angles.shape[-1])
+    return log_z_grid(angles, thetas)[0] / scale
+
+
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not (0.0 < delta < 0.5):
+        raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
+    return delta
 
 
 def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
@@ -68,15 +91,88 @@ def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
     nondecreasing in delta.  Every pair i < j is compared; a nan gap (two
     -inf terms) is close.
     """
-    delta = float(delta)
-    if not (0.0 < delta < 0.5):
-        raise InvalidArgumentError(f"delta must be in (0, 1/2), got {delta!r}")
+    delta = _check_delta(delta)
     mask = np.any(np.abs(logs) >= 1.0 / delta, axis=0)
     with np.errstate(invalid="ignore"):
         for i in range(len(logs)):
             for j in range(i + 1, len(logs)):
                 mask |= ~(np.abs(logs[i] - logs[j]) > delta)
     return mask
+
+
+def _grid_logs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FFT values of L_j on the grid of :func:`exceptional_grid`, and bounds.
+
+    ``angles`` has shape (..., N); both results have shape (..., G) with
+    G = 64 N.  Z_j(e^{-i phi}) = sum_m c_m e^{-i m phi}, so the inverse FFT
+    of Z_j at the M = 2^k >= 2N + 2 points of
+    :func:`~cuelab.spectra._fft_samples` gives c_0..c_N, and at
+    theta_q = (q + 1/2) 2pi/G, Z_j = sum_m (c_m e^{-i pi m/G}) e^{-2pi i m q/G}
+    is one zero-padded length-G FFT.  The value bound is
+    e_j = sqrt(N + 1) _VALUE_NOISE N eps RMS_M|Z_j| + 4 log2(G) eps |c_j|_1:
+    the coefficients' l2 error allowed as in
+    :func:`~cuelab.ensembles._combination_coefficients`, times sqrt(N + 1)
+    for their l1 error, plus the rounding of the forward FFT.  Where
+    e_j < |Z~_j| the bound of L_j is -log(1 - e_j/|Z~_j|) / sqrt(log(N)/2);
+    elsewhere it is infinite.
+    """
+    n_dim = angles.shape[-1]
+    grid = _GRID_PER_ANGLE * n_dim
+    eps = np.finfo(float).eps
+    re, im = _fft_samples(angles)
+    coeffs = np.fft.ifft(np.exp(re + 1j * im))[..., :n_dim + 1]
+    twiddled = coeffs * np.exp(-1j * np.pi / grid * np.arange(n_dim + 1))
+    values = np.abs(np.fft.fft(twiddled, n=grid))
+    rms = np.sqrt(np.mean(np.exp(2.0 * re), axis=-1))
+    error = (math.sqrt(n_dim + 1) * _VALUE_NOISE * n_dim * eps * rms
+             + 4.0 * math.log2(grid) * eps * np.sum(np.abs(coeffs), axis=-1))
+    scale = _log_scale(n_dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = error[..., None] / values
+        bound = np.where(ratio < 1.0, -np.log1p(-ratio) / scale, np.inf)
+        return np.log(values) / scale, bound
+
+
+def _settled_points(logs: np.ndarray, bound: np.ndarray, delta: float) -> np.ndarray:
+    """Points whose E_delta membership the bounds decide, from (n, ...) arrays.
+
+    A point is settled when every |L_j| sits more than 3 b_j from 1/delta
+    and every |L_i - L_j| more than 3 (b_i + b_j) from delta.
+    """
+    apart = np.all(np.abs(np.abs(logs) - 1.0 / delta) > _GRID_MARGIN * bound, axis=0)
+    with np.errstate(invalid="ignore"):
+        for i in range(len(logs)):
+            for j in range(i + 1, len(logs)):
+                gap = np.abs(np.abs(logs[i] - logs[j]) - delta)
+                apart &= gap > _GRID_MARGIN * (bound[i] + bound[j])
+    return apart
+
+
+def exceptional_grid(angles, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """E_delta and E_{delta/2} of each stack row on the grid (q + 1/2) 2pi/(64 N).
+
+    ``angles`` has shape (..., T, N): the T spectra of each row; both masks
+    have shape (..., 64 N), as :func:`exceptional_mask` gives them on the
+    logs of :func:`normalized_logs` at the grid points.  The logs come from
+    each spectrum's coefficients (see :func:`_grid_logs`): O(M N + G log G)
+    per spectrum, not the kernel's O(G N).  Every point must be settled for
+    both delta and delta/2, every |L_j| more than 3 b_j from the threshold
+    and every gap more than 3 (b_i + b_j), so the FFT logs decide as the
+    exact ones do.  The bound rests on the calibrated constant of
+    :func:`~cuelab.ensembles._combination_coefficients`, so it is
+    calibrated, not rigorous; the factor 3 also covers the kernel's own
+    error, which measures under 0.4 b_j up to N = 512.  If any point of
+    the stack is unsettled, the whole stack takes :func:`normalized_logs`
+    on the grid instead, so its masks are those of the kernel bit for bit.
+    """
+    delta = _check_delta(delta)
+    angles = np.asarray(angles, dtype=float)
+    logs, bound = (np.moveaxis(part, -2, 0) for part in _grid_logs(angles))
+    if not np.all(_settled_points(logs, bound, delta) & _settled_points(logs, bound, delta / 2.0)):
+        grid = _GRID_PER_ANGLE * angles.shape[-1]
+        thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
+        logs = np.moveaxis(normalized_logs(angles, thetas), -2, 0)
+    return exceptional_mask(logs, delta), exceptional_mask(logs, delta / 2.0)
 
 
 def carrier_wave_index(logs: np.ndarray) -> np.ndarray:
@@ -159,8 +255,9 @@ def base_angles(angles, config: CarrierWaveConfig) -> np.ndarray:
     |Im log Z(theta_k + (1 - sqrt(delta)) Delta) - Im log Z(theta_k + sqrt(delta) Delta)| —
     an empirical surrogate for the averaged form that defines theta0.  Each
     increment is pi |#{angles in [lo, hi)} - N (hi - lo)/2pi|, so the scan
-    only counts; equal counts tie exactly (``math.fsum``), and ties go to
-    the lowest candidate.  The default delta, nextafter(1/4, 0) for
+    only counts.  A float sum ranks the candidates, ``math.fsum`` decides
+    among those within its rounding of the least, so equal counts tie
+    exactly, and ties go to the lowest candidate.  The default delta, nextafter(1/4, 0) for
     N < e^(2.6e6), leaves arcs ~1e-16 Delta wide.  An arc no wider than the
     float spacing at 2pi holds no angle short of an exact float
     coincidence, so every candidate ties: the scan is skipped, theta0 = 0.
@@ -183,8 +280,17 @@ def base_angles(angles, config: CarrierWaveConfig) -> np.ndarray:
     below = below.reshape(angles.shape[:-1] + below.shape[1:])
     inside = below[:, :, 1] - below[:, :, 0] + n_dim * (ends[1] < ends[0])
     deviations = np.abs(inside - n_dim * (hi - lo) / TWO_PI).swapaxes(1, 2)
-    scores = np.array([[math.fsum(row.ravel()) for row in sample] for sample in deviations])
-    return candidates[np.argmin(scores, axis=1)]
+    # A float sum of n >= 0 terms is within (n - 1) eps/2 of the exact sum
+    # relative to it, so every candidate whose exact sum rounds to the
+    # least one sits within 4 n eps of the least float sum; only those are
+    # summed exactly.
+    scores = deviations.sum(axis=(2, 3))
+    slack = 1.0 + 4 * math.prod(deviations.shape[2:]) * np.finfo(float).eps
+    near = scores <= scores.min(axis=1, keepdims=True) * slack
+    exact = np.full(scores.shape, np.inf)
+    for s, c in zip(*np.nonzero(near)):
+        exact[s, c] = math.fsum(deviations[s, c].ravel())
+    return candidates[np.argmin(exact, axis=1)]
 
 
 def narrow_gap_threshold(config: CarrierWaveConfig) -> float:

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import (
     DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError, NumericalFailureError,
 )
-from .spectra import TWO_PI, _log_z_rows, log_z_grid
+from .spectra import TWO_PI, _fft_samples, _log_z_rows
 
 __all__ = [
     "CombinationEnsemble",
@@ -169,6 +169,21 @@ def _stack(ens) -> tuple[np.ndarray, np.ndarray]:
     return coefficients, angles
 
 
+def _settled_brackets(a, ga, b, gb, row, bound, slack, n_dim) -> np.ndarray:
+    """Which brackets [a, b] of the level loop Bernstein's bound settles.
+
+    ``row`` names each bracket's ensemble, and ``bound`` and ``slack`` hold
+    M and e per ensemble (see :func:`sign_changes`).  With
+    w' = N (b - a)/2 and m = max(|G(a)|, |G(b)|) - e, a flipping bracket
+    is settled (one zero) when m > M w'^3/6 and a steady one (no zero)
+    when m > M w'^2/2.
+    """
+    span = 0.5 * n_dim * (b - a)
+    flip = (ga > 0.0) != (gb > 0.0)
+    margin = np.maximum(np.abs(ga), np.abs(gb)) - slack[row]
+    return margin > bound[row] * span * span * np.where(flip, span / 6.0, 0.5)
+
+
 def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     """Lower bound for the number of zeros of F on the unit circle.
 
@@ -252,11 +267,8 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     total = np.zeros(n_rows, dtype=np.intp)
     for _ in range(max_refine):
         # settled brackets leave: one zero if flipping, none if steady
-        span = 0.5 * n_dim * (b - a)
-        flip = (ga > 0.0) != (gb > 0.0)
-        margin = np.maximum(np.abs(ga), np.abs(gb)) - slack[row]
-        settled = margin > bound[row] * span * span * np.where(flip, span / 6.0, 0.5)
-        total += np.bincount(row[settled & flip], minlength=n_rows)
+        settled = _settled_brackets(a, ga, b, gb, row, bound, slack, n_dim)
+        total += np.bincount(row[settled & ((ga > 0.0) != (gb > 0.0))], minlength=n_rows)
         live = ~settled
         a, ga, b, gb, row = a[live], ga[live], b[live], gb[live], row[live]
         if a.size == 0:
@@ -332,8 +344,7 @@ def _combination_coefficients(coefficients, angles) -> tuple[np.ndarray, np.ndar
     shape (S,).
     """
     n_dim = angles.shape[-1]
-    m = 1 << (2 * n_dim + 1).bit_length()
-    re, im = log_z_grid(angles, np.arange(m) * (TWO_PI / m))
+    re, im = _fft_samples(angles)
     values = coefficients @ np.exp(re + 1j * im)
     scale = np.sqrt(np.mean((np.abs(coefficients) @ np.exp(re)) ** 2, axis=-1))
     return np.fft.ifft(values)[:, :n_dim + 1], _VALUE_NOISE * n_dim * np.finfo(float).eps * scale

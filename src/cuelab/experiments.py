@@ -18,7 +18,9 @@ the sign changes of all its ensembles with one stacked ``sign_changes``
 call, whose level loop refines every bracket of the block at once.  A
 ``fraction`` block takes its exact circle-zero counts with one stacked
 ``circle_zero_counts`` call; a ``carrier`` block builds one subdivision
-and reduces all of its samples as arrays, with no ensemble object.
+and reduces all of its samples as arrays, with no ensemble object, and
+takes its exceptional sets on the 64 N grid with one ``exceptional_grid``
+call, from each spectrum's coefficients by FFT.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -65,8 +67,8 @@ from .ensembles import (
     sign_changes,
 )
 from .carrier import (
-    base_angles, carrier_wave_index, exceptional_mask, narrow_gap_count, narrow_gap_threshold,
-    normalized_logs, subdivision,
+    base_angles, carrier_wave_index, exceptional_grid, exceptional_mask, narrow_gap_count,
+    narrow_gap_threshold, normalized_logs, subdivision,
 )
 from .results import EstimateRow, ResultRecord
 
@@ -792,9 +794,11 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds) per ensemble.
 
     The block is reduced as arrays over its (S, T, N) angles: one stacked
-    sign-change count, one subdivision, one ``normalized_logs`` call on the
-    64 N grid and one per sample on its own points, which start at its base
-    angle theta0.  A degenerate ensemble is a NaN row.
+    sign-change count, one subdivision, one ``exceptional_grid`` call for
+    the masks on the 64 N grid (FFT logs, or the kernel if a point is not
+    certified) and one ``normalized_logs`` call per sample on its own
+    points, which start at its base angle theta0.  A degenerate ensemble
+    is a NaN row.
     """
     dim, coeffs, k_div, delta, grid_factor = payload
     config = subdivision(dim, k_div, delta)
@@ -805,11 +809,7 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     if rows.size == 0:
         return out
     angles, measured = angles[rows], measured[rows]
-    grid = 64 * dim
-    thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)
-    logs = np.moveaxis(normalized_logs(angles, thetas), 1, 0)  # (T, S, grid)
-    mask = exceptional_mask(logs, config.delta)
-    mask_half = exceptional_mask(logs, config.delta / 2.0)
+    mask, mask_half = exceptional_grid(angles, config.delta)
     # Per subinterval k of sample s: 8 stability points, then 16 bound
     # candidates at the left edge, from one kernel call per sample.
     lefts = base_angles(angles, config)[:, None] + config.Delta * np.arange(config.K)

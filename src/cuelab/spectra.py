@@ -255,6 +255,18 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     return re.reshape(shape), im.reshape(shape)
 
 
+def _fft_samples(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) log Z of every spectrum at the M points 2pi p/M, p < M.
+
+    M = 2^k >= 2N + 2 for spectra of N angles, so the inverse FFT of a
+    sampled Z(e^{-i phi}) = sum_m c_m e^{-i m phi}, or of a combination of
+    them, returns c_0..c_N unaliased and leaves the top M - N - 1 outputs
+    as a measure of the rounding.  Shapes as :func:`log_z_grid`.
+    """
+    m = 1 << (2 * angles.shape[-1] + 1).bit_length()
+    return log_z_grid(angles, np.arange(m) * (TWO_PI / m))
+
+
 def _log_z_rows(angles: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`log_z_grid`'s kernel, on either of two layouts of the points.
 

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cuelab import RngStream, haar_special_unitary, haar_unitary
+import cuelab.spectra
+from cuelab import RngStream, carrier, experiments, haar_special_unitary, haar_unitary
 from cuelab.carrier import (
     CarrierWaveConfig,
     base_angles,
     carrier_wave_index,
+    exceptional_grid,
     exceptional_mask,
     narrow_gap_count,
     narrow_gap_threshold,
@@ -19,6 +21,8 @@ from cuelab.carrier import (
 )
 from cuelab.ensembles import CombinationEnsemble
 from cuelab.errors import InvalidArgumentError, InvalidConfigError
+from cuelab.experiments import ExperimentConfig, run_carrier_diagnostics
+from cuelab.results import to_json_text
 from cuelab.spectra import EigenangleSpectrum, eigenangles, log_z
 
 SEED = 60601
@@ -234,6 +238,122 @@ def test_exceptional_measure_bounds_and_monotonicity():
     for m in measures:
         assert 0.0 <= m <= 1.0
     assert measures[0] <= measures[1] <= measures[2]
+
+
+def grid_points(n_dim):
+    grid = 64 * n_dim
+    return (np.arange(grid) + 0.5) * (2 * np.pi / grid)
+
+
+def kernel_grid_logs(angles):
+    # the route exceptional_grid falls back to: the kernel on the whole grid,
+    # terms first
+    return np.moveaxis(normalized_logs(angles, grid_points(angles.shape[-1])), -2, 0)
+
+
+def counting_grid_calls(monkeypatch):
+    # normalized_logs calls on exceptional_grid's whole grid
+    calls = []
+
+    def counting(angles, thetas):
+        if np.shape(thetas) == (64 * np.shape(angles)[-1],):
+            calls.append(np.shape(angles))
+        return real(angles, thetas)
+
+    real = carrier.normalized_logs
+    monkeypatch.setattr(carrier, "normalized_logs", counting)
+    return calls
+
+
+def test_exceptional_grid_equals_the_kernel_masks(monkeypatch):
+    # 378 samples from N = 8 to 256 with one to three terms: the FFT logs
+    # sit within their bound of the kernel's, every point is settled, and
+    # the masks at four deltas and their halves are the kernel's
+    calls = counting_grid_calls(monkeypatch)
+    samples = 0
+    for n_dim in (8, 16, 32, 64, 128, 256):
+        for n_terms in (1, 2, 3):
+            gen = RngStream(SEED, 900 + 3 * n_dim + n_terms).generator()
+            angles = experiments._su_spectra(gen, 512 // n_dim, n_dim, n_terms)
+            logs, bound = carrier._grid_logs(angles)
+            kernel = kernel_grid_logs(angles)
+            assert np.all(np.abs(np.moveaxis(logs, -2, 0) - kernel) <= np.moveaxis(bound, -2, 0))
+            for delta in (subdivision(n_dim).delta, 0.05, 0.1, 0.2):
+                masks = exceptional_grid(angles, delta)
+                for got, scale in zip(masks, (1.0, 0.5)):
+                    np.testing.assert_array_equal(got, exceptional_mask(kernel, scale * delta))
+            samples += len(angles)
+    assert samples == 378
+    assert calls == []
+
+
+def test_exceptional_grid_falls_back_on_points_at_a_threshold(monkeypatch):
+    # delta set to the kernel's |L_0 - L_1| at a grid point, or 1/delta to
+    # its |L_0|: the point cannot be settled, and the whole stack takes
+    # the kernel, so its masks are the kernel's bit for bit
+    calls = counting_grid_calls(monkeypatch)
+    gen = RngStream(SEED, 31).generator()
+    angles = experiments._su_spectra(gen, 3, 32, 2)
+    kernel = kernel_grid_logs(angles)
+    logs, bound = (np.moveaxis(part, -2, 0) for part in carrier._grid_logs(angles))
+    gaps, peaks = np.abs(kernel[0] - kernel[1]), np.abs(kernel[0])
+    picked = []
+    for values, to_delta in ((gaps, lambda v: v), (peaks, lambda v: 1.0 / v)):
+        inside = np.argwhere((to_delta(values) > 0.01) & (to_delta(values) < 0.45))
+        picked += [(to_delta(values[s, q]), s, q) for s, q in inside[:: len(inside) // 5][:5]]
+    assert len(picked) == 10
+    for delta, s, q in picked:
+        assert not carrier._settled_points(logs, bound, delta)[s, q]
+        calls.clear()
+        masks = exceptional_grid(angles, delta)
+        assert calls == [angles.shape]
+        for got, scale in zip(masks, (1.0, 0.5)):
+            np.testing.assert_array_equal(got, exceptional_mask(kernel, scale * delta))
+
+
+def test_carrier_runner_takes_the_kernel_grid_only_on_a_fallback(monkeypatch):
+    # no kernel call with 64 N points per row unless a block falls back;
+    # with every bound infinite every block falls back, one kernel call
+    # on the grid each, and the records keep their bytes
+    rows = []
+    real_rows = cuelab.spectra._log_z_rows
+
+    def counting(angles, points):
+        rows.append(np.shape(points)[-1] == 64 * np.shape(angles)[-1])
+        return real_rows(angles, points)
+
+    monkeypatch.setattr(cuelab.spectra, "_log_z_rows", counting)
+    configs = [
+        ExperimentConfig(experiment="carrier", dims=(16,), samples=70, seed=3, delta=0.1,
+                         coefficients=(1.0, 1.0), workers=1),
+        ExperimentConfig(experiment="carrier", dims=(64,), samples=4, seed=5,
+                         coefficients=(1.0, 2.0, 3.0), workers=1),
+    ]
+    records = [to_json_text(run_carrier_diagnostics(cfg)) for cfg in configs]
+    assert rows and not any(rows)
+
+    def unbounded(angles):
+        logs, bound = grid_logs(angles)
+        return logs, np.full(bound.shape, np.inf)
+
+    grid_logs = carrier._grid_logs
+    monkeypatch.setattr(carrier, "_grid_logs", unbounded)
+    for cfg, record, blocks in zip(configs, records, (2, 2)):
+        rows.clear()
+        assert to_json_text(run_carrier_diagnostics(cfg)) == record
+        assert sum(rows) == blocks
+
+
+def test_exceptional_grid_checks_its_arguments():
+    angles = su_ensemble(2, 16, salt=9).angles
+    for delta in (0.0, 0.5):
+        with pytest.raises(InvalidArgumentError):
+            exceptional_grid(angles, delta)
+    with pytest.raises(InvalidArgumentError):
+        exceptional_grid(np.zeros((2, 1)), 0.1)
+    mask, half = exceptional_grid(angles, 0.2)
+    assert mask.shape == half.shape == (64 * 16,)
+    assert np.all(mask[half])
 
 
 def test_carrier_index_is_argmax_one_based():

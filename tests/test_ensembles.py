@@ -461,6 +461,61 @@ def test_sign_changes_on_close_pairs_match_the_reference():
         assert sign_changes(ens) == changes
 
 
+def tight_bracket_ensembles():
+    """Ensembles with a close pair of circle zeros inside one node bracket.
+
+    Rows 199 of 300 (N = 6) and 1347 of 1500 (N = 7) of three-term stacks
+    with coefficients (1, 2, 3): the far end of the pair's bracket has a
+    margin of 0.32 and 0.17 times the early exit's steady bound, so a
+    bound ten times too small settles the bracket with no zero.  On the
+    random N = 8..64 stacks below the largest such ratio is 0.026.
+    """
+    for n_dim, rows, row in ((6, 300, 199), (7, 1500, 1347)):
+        gen = RngStream(SEED, 520 + n_dim).generator()
+        angles = experiments._su_spectra(gen, rows, n_dim, 3)[row]
+        yield CombinationEnsemble(np.array([1.0, 2.0, 3.0]), angles)
+
+
+def test_settled_brackets_hold_the_oracle_roots_they_are_counted_with(monkeypatch):
+    # Every bracket the level loop's early exit settles is counted one if
+    # its ends flip and none if not; it must hold exactly that many oracle
+    # circle roots, at theta = -arg z.  Counts alone cannot see a loose
+    # bound: one ten times too small changes no stacked count.
+    settled_seen = []
+
+    def recording(a, ga, b, gb, row, bound, slack, n_dim):
+        settled = settled_brackets(a, ga, b, gb, row, bound, slack, n_dim)
+        flip = (ga > 0.0) != (gb > 0.0)
+        settled_seen.append((a[settled], b[settled], flip[settled], row[settled]))
+        return settled
+
+    settled_brackets = cuelab.ensembles._settled_brackets
+    monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", recording)
+    stacks = []
+    for salt, coeffs in enumerate(((1.0, 1.0), (1.0, -1.0), (1.0, 2.0, 3.0))):
+        for n_dim in (8, 16, 32, 64):
+            gen = RngStream(SEED, 500 + 10 * salt + n_dim).generator()
+            stacks.append((np.array(coeffs), experiments._su_spectra(gen, 84, n_dim, len(coeffs))))
+    pinned = [*close_pair_ensembles(), *tight_bracket_ensembles()]
+    stacks += [(ens.coefficients, ens.angles[None]) for ens in pinned]
+    brackets = ensembles = 0
+    for coeffs, angles in stacks:
+        settled_seen.clear()
+        sign_changes((coeffs, angles))
+        roots = [roots_oracle(CombinationEnsemble(coeffs, a)).roots for a in angles]
+        thetas = [np.mod(-np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-6]), TWO_PI) for z in roots]
+        for a, b, flip, row in settled_seen:
+            for lo, hi, counted, r in zip(a, b, flip, row):
+                # a wrap bracket ends past 2pi, where a root sits at theta + 2pi
+                held = np.count_nonzero((lo <= thetas[r]) & (thetas[r] <= hi))
+                held += np.count_nonzero((lo <= thetas[r] + TWO_PI) & (thetas[r] + TWO_PI <= hi))
+                assert held == counted, (coeffs, angles.shape, r, lo, hi)
+            brackets += a.size
+        ensembles += len(angles)
+    assert ensembles == 1013
+    assert brackets > 100_000
+
+
 # (coefficients, N, stack rows) of the exact count's audit against the oracle
 EXACT_COUNT_CASES = [
     *[(coeffs, n_dim, 80) for coeffs in ((1.0, -1.0), (1.0,), (1.0, 1.0), (1.0, 2.0, 3.0))
