@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _VALUE_NOISE
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, _fft_samples, log_z_grid
+from .spectra import TWO_PI, _fft_coefficients, _fft_samples, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
@@ -109,22 +108,20 @@ def _grid_logs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`~cuelab.spectra._fft_samples` gives c_0..c_N, and at
     theta_q = (q + 1/2) 2pi/G, Z_j = sum_m (c_m e^{-i pi m/G}) e^{-2pi i m q/G}
     is one zero-padded length-G FFT.  The value bound is
-    e_j = sqrt(N + 1) _VALUE_NOISE N eps RMS_M|Z_j| + 4 log2(G) eps |c_j|_1:
-    the coefficients' l2 error allowed as in
-    :func:`~cuelab.ensembles._combination_coefficients`, times sqrt(N + 1)
-    for their l1 error, plus the rounding of the forward FFT.  Where
-    e_j < |Z~_j| the bound of L_j is -log(1 - e_j/|Z~_j|) / sqrt(log(N)/2);
-    elsewhere it is infinite.
+    e_j = sqrt(N + 1) e_c + 4 log2(G) eps |c_j|_1: the allowance e_c of the
+    coefficients' l2 error from :func:`~cuelab.spectra._fft_coefficients`,
+    taken against |Z_j|, times sqrt(N + 1) for their l1 error, plus the
+    rounding of the forward FFT.  Where e_j < |Z~_j| the bound of L_j is
+    -log(1 - e_j/|Z~_j|) / sqrt(log(N)/2); elsewhere it is infinite.
     """
     n_dim = angles.shape[-1]
     grid = _GRID_PER_ANGLE * n_dim
     eps = np.finfo(float).eps
     re, im = _fft_samples(angles)
-    coeffs = np.fft.ifft(np.exp(re + 1j * im))[..., :n_dim + 1]
+    coeffs, noise = _fft_coefficients(np.exp(re + 1j * im), np.exp(re), n_dim)
     twiddled = coeffs * np.exp(-1j * np.pi / grid * np.arange(n_dim + 1))
     values = np.abs(np.fft.fft(twiddled, n=grid))
-    rms = np.sqrt(np.mean(np.exp(2.0 * re), axis=-1))
-    error = (math.sqrt(n_dim + 1) * _VALUE_NOISE * n_dim * eps * rms
+    error = (math.sqrt(n_dim + 1) * noise
              + 4.0 * math.log2(grid) * eps * np.sum(np.abs(coeffs), axis=-1))
     scale = _log_scale(n_dim)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,7 +156,7 @@ def exceptional_grid(angles, delta: float) -> tuple[np.ndarray, np.ndarray]:
     both delta and delta/2, every |L_j| more than 3 b_j from the threshold
     and every gap more than 3 (b_i + b_j), so the FFT logs decide as the
     exact ones do.  The bound rests on the calibrated constant of
-    :func:`~cuelab.ensembles._combination_coefficients`, so it is
+    :func:`~cuelab.spectra._fft_coefficients`, so it is
     calibrated, not rigorous; the factor 3 also covers the kernel's own
     error, which measures under 0.4 b_j up to N = 512.  If any point of
     the stack is unsettled, the whole stack takes :func:`normalized_logs`

@@ -12,7 +12,8 @@ Three routes count the zeros of F on the unit circle.
    :func:`sign_changes` refines all its brackets level by level (one
    kernel call per bisection level, for one ensemble or a whole stack of
    them) and drops each bracket whose count Bernstein's inequality already
-   fixes.
+   fixes.  One evaluator, :func:`_rotation`, takes G at flat (row, theta)
+   points: the nodes, each level's live midpoints and :func:`real_rotation`.
 2. The exact count.  :func:`circle_zero_counts` takes the inertia of the
    Schur-Cohn matrix of F' (Cohn's theorem in counting form), one stacked
    ``eigvalsh`` per degree, and certifies each count or raises.
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import (
     DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError, NumericalFailureError,
 )
-from .spectra import TWO_PI, _fft_samples, _log_z_rows
+from .spectra import TWO_PI, _fft_coefficients, _fft_samples, _log_z_rows
 
 __all__ = [
     "CombinationEnsemble",
@@ -69,11 +70,6 @@ _DET_ONE_TOL = 1e-6
 # sum |b_j| |Z_j|; float64 rounding of the log Z kernel stays below
 # 1e-15 N of it.
 _ROUNDING_SLACK = 1e-8
-# Allowance for the rounding of F's values on the FFT grid, relative to
-# N eps sum_j |b_j| |Z_j|.  An empirical constant, not a proven bound: the
-# noise in the unused top of the inverse FFT measures 1.2-2.8 N eps of its
-# RMS from N = 16 to 512, so it leaves about 3x headroom.
-_VALUE_NOISE = 8.0
 # Multiple of n eps (max|lambda| + |T_1|_F^2 + |T_2|_F^2) allowed for
 # forming a Schur-Cohn matrix by matmul and taking its eigenvalues.
 _INERTIA_SLACK = 16.0
@@ -105,35 +101,19 @@ class CombinationEnsemble:
         return self.angles.shape[1]
 
 
-def _rotation_rows(coefficients: np.ndarray, angles: np.ndarray, points: np.ndarray):
-    """G of a stack at its own points, shape (S, P), and the moduli |Z_j|.
+def _rotation(coefficients: np.ndarray, angles: np.ndarray, rows: np.ndarray,
+              thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G at each point thetas[p] on the spectra angles[rows[p]], and |Z_j| there.
 
-    ``angles`` has shape (S, T, N) and ``points`` shape (S, P): row s is
-    taken on the spectra angles[s] at points[s], by one kernel call, and
-    the moduli have shape (S, T, P).  G = Re[rot * sum b_j Z_j] with
-    rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2}, taken term by term as
-    b_j |Z_j| cos(Im log Z_j + N(pi+theta)/2).
+    ``angles`` has shape (S, T, N), and ``rows`` and ``thetas`` shape (P,);
+    one kernel call gives G, shape (P,), and the moduli, shape (T, P).
+    G = Re[rot * sum b_j Z_j] with rot = i^N e^{iN theta/2} = e^{iN(pi+theta)/2},
+    taken term by term as b_j |Z_j| cos(Im log Z_j + N(pi+theta)/2).
     """
-    points = points[:, None, :]
-    re, im = _log_z_rows(angles, points)
+    re, im = _log_z_rows(angles, thetas, rows)
     moduli = np.exp(re)
-    g = coefficients @ (moduli * np.cos(im + 0.5 * angles.shape[-1] * (np.pi + points)))
+    g = coefficients @ (moduli * np.cos(im + 0.5 * angles.shape[-1] * (np.pi + thetas)))
     return g, moduli
-
-
-def _rotation_at(coefficients, angles, row, thetas) -> np.ndarray:
-    """G at each of the flat points ``thetas``, on the spectra of its ``row``.
-
-    The points come grouped by row.  Each row's points fill one row of a
-    zero-padded (rows, widest) array, so a single kernel call takes them all.
-    """
-    counts = np.bincount(row, minlength=len(angles))
-    active = counts > 0
-    slot = (np.cumsum(active) - 1)[row]
-    col = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    points = np.zeros((np.count_nonzero(active), counts.max()))
-    points[slot, col] = thetas
-    return _rotation_rows(coefficients, angles[active], points)[0][slot, col]
 
 
 def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
@@ -142,8 +122,9 @@ def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
     For det-1 spectra each term's phase Im log Z_j + N(pi+theta)/2 is a
     multiple of pi, so G is real by construction.
     """
-    g, _ = _rotation_rows(ens.coefficients, ens.angles[None], np.array([[float(theta)]]))
-    return float(g[0, 0])
+    g, _ = _rotation(ens.coefficients, ens.angles[None], np.zeros(1, dtype=np.intp),
+                     np.array([float(theta)]))
+    return float(g[0])
 
 
 def _stack(ens) -> tuple[np.ndarray, np.ndarray]:
@@ -195,11 +176,12 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     an n=1 ensemble) are removed from the sign sequence.  Every bracket
     between consecutive nodes, and the wrap bracket closed with
     G(theta + 2pi) = (-1)^N G(theta), is then refined level by level: one
-    kernel call per level (at most ``max_refine``) evaluates the live
-    midpoints of every ensemble of the stack.  A midpoint where G is exactly
-    0 ends its bracket and counts the endpoint flip (a tangency adds no sign
-    change); otherwise a half is kept if it flips sign or the midpoint dips
-    below both endpoint magnitudes, which flags a possible pair of zeros.
+    kernel call per level (at most ``max_refine``) evaluates exactly the
+    live midpoints of every ensemble of the stack.  A midpoint where G is
+    exactly 0 ends its bracket and counts the endpoint flip (a tangency
+    adds no sign change); otherwise a half is kept if it flips sign or the
+    midpoint dips below both endpoint magnitudes, which flags a possible
+    pair of zeros.
     Each bracket left flipping after the last level counts one.  The halves
     are disjoint, so the total is a valid lower bound.
 
@@ -235,9 +217,11 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     nodes = np.sort(np.concatenate(
         [np.broadcast_to(base, (n_rows, base.size)), angles.reshape(n_rows, -1)], axis=1
     ), axis=1)
-    g, moduli = _rotation_rows(coefficients, angles, nodes)
+    g, moduli = _rotation(coefficients, angles, np.repeat(np.arange(n_rows), nodes.shape[1]),
+                          nodes.ravel())
+    g = g.reshape(nodes.shape)
     # sum |b_j| |Z_j| bounds |F| and calibrates the degeneracy floor
-    scale = np.abs(coefficients) @ moduli
+    scale = (np.abs(coefficients) @ moduli).reshape(nodes.shape)
     degenerate = np.all(np.abs(g) <= _DEGENERATE_TOL * np.maximum(scale, 1e-300), axis=1)
     # a row's nodes as np.unique gives them (the first of each run of equal
     # nodes), less the exact zeros of G
@@ -248,7 +232,8 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     # per row: the rounding slack e and the Bernstein bound M of sup|G|
     # (1/q, infinite where the node bound fails)
     factor = 1.0 / (1.0 - np.pi / (2 * grid_factor)) if grid_factor >= 2 else np.inf
-    slack = _ROUNDING_SLACK * factor * (moduli.max(axis=-1) @ np.abs(coefficients))
+    peaks = moduli.reshape((-1,) + nodes.shape).max(axis=-1)
+    slack = _ROUNDING_SLACK * factor * (np.abs(coefficients) @ peaks)
     bound = factor * (np.max(np.abs(g), axis=1) + slack)
     # live brackets (a, G(a), b, G(b), row), grouped by row: consecutive
     # nodes, then each row's wrap from its last node to its first
@@ -275,7 +260,7 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
             break
         mid = 0.5 * (a + b)
         wrapped = mid >= TWO_PI
-        gm = _rotation_at(coefficients, angles, row, np.where(wrapped, mid - TWO_PI, mid))
+        gm = _rotation(coefficients, angles, row, np.where(wrapped, mid - TWO_PI, mid))[0]
         if odd:
             gm = np.where(wrapped, -gm, gm)
         zero = gm == 0.0
@@ -334,20 +319,13 @@ class RootSet:
 def _combination_coefficients(coefficients, angles) -> tuple[np.ndarray, np.ndarray]:
     """Ascending coefficients a_0..a_N of every F of a stack, and their noise.
 
-    ``angles`` has shape (S, T, N); the coefficients have shape (S, N + 1).
-    F(e^{-i phi}) = sum_m a_m e^{-i m phi}, so the inverse FFT of F sampled
-    at M = 2^k >= 2N + 2 equispaced angles returns a_0..a_N directly;
-    unlike a product expansion, no intermediate coefficient outgrows F
-    itself.  By Parseval the l2 error of a row's M outputs is the RMS of
-    its values' errors, allowed _VALUE_NOISE N eps times the RMS of
-    sum_j |b_j| |Z_j| over the grid: that allowance is the second result,
-    shape (S,).
+    ``angles`` has shape (S, T, N); the results have shapes (S, N + 1) and
+    (S,), from :func:`~cuelab.spectra._fft_coefficients` with the moduli
+    bounded by sum_j |b_j| |Z_j|.
     """
-    n_dim = angles.shape[-1]
     re, im = _fft_samples(angles)
-    values = coefficients @ np.exp(re + 1j * im)
-    scale = np.sqrt(np.mean((np.abs(coefficients) @ np.exp(re)) ** 2, axis=-1))
-    return np.fft.ifft(values)[:, :n_dim + 1], _VALUE_NOISE * n_dim * np.finfo(float).eps * scale
+    return _fft_coefficients(coefficients @ np.exp(re + 1j * im),
+                             np.abs(coefficients) @ np.exp(re), angles.shape[-1])
 
 
 def circle_zero_counts(ens, uncertified: int | None = None):

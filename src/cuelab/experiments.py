@@ -132,7 +132,6 @@ class ExperimentConfig:
     grid_factor: int = 8
     delta: float | None = None
     subdivisions: int | None = None
-    mu: float = 8.0 * math.pi
     workers: int | None = None
     format: str = "csv"
     out: str | None = None
@@ -163,8 +162,6 @@ class ExperimentConfig:
             raise InvalidConfigError("samples exceed the per-group stream budget")
         if self.delta is not None and not (0.0 < self.delta < 0.25):
             raise InvalidConfigError(f"delta must lie in (0, 1/4), got {self.delta!r}")
-        if not (self.mu > 0.0):
-            raise InvalidConfigError(f"mu must be positive, got {self.mu!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
 
@@ -699,10 +696,13 @@ def run_tail_checks(cfg: ExperimentConfig) -> ResultRecord:
 # --------------------------------------------------------------------------
 # oscillation of log Z over a mesoscopic shift
 
+# The shift is mu/N with mu = 8 pi, four mean spacings; it fits the 2 pi N
+# window from N = 4 on.
+_MU = 8.0 * math.pi
 
-def _sample_oscillation(gen, count, payload) -> np.ndarray:
-    dim, mu = payload
-    re, im = _log_z_at_random_angles(gen, count, dim, np.array([0.0, mu / dim]))
+
+def _sample_oscillation(gen, count, dim) -> np.ndarray:
+    re, im = _log_z_at_random_angles(gen, count, dim, np.array([0.0, _MU / dim]))
     return np.column_stack([re[:, 1] - re[:, 0], im[:, 1] - im[:, 0]])
 
 
@@ -715,19 +715,18 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
     """
     report = _Report(cfg)
     for dim in cfg.dims:
-        if cfg.mu > TWO_PI * dim:
-            raise InvalidConfigError(f"mu={cfg.mu:g} exceeds the 2 pi N window at N={dim}")
+        if _MU > TWO_PI * dim:
+            raise InvalidConfigError(f"mu={_MU:g} exceeds the 2 pi N window at N={dim}")
     jobs = [
-        (_sample_oscillation, group, (dim, cfg.mu), _block_rows(dim))
-        for group, dim in enumerate(cfg.dims)
+        (_sample_oscillation, group, dim, _block_rows(dim)) for group, dim in enumerate(cfg.dims)
     ]
     for dim, data in zip(cfg.dims, _collect(cfg, jobs)):
-        reference = oscillation_variance_exact(dim, cfg.mu)
+        reference = oscillation_variance_exact(dim, _MU)
         for col, part in enumerate(("re", "im")):
-            label = f"{part} increment second moment N={dim} mu={cfg.mu:g}"
+            label = f"{part} increment second moment N={dim} mu={_MU:g}"
             row = report.estimate(label, data[:, col] ** 2)
             report.z_check(f"{part} increment z-score N={dim}", row.z_score(reference))
-        report.value(f"exact series N={dim} mu={cfg.mu:g}", reference)
+        report.value(f"exact series N={dim} mu={_MU:g}", reference)
     big_n, big_mu = 10000, 20.0 * math.pi
     series = oscillation_variance_exact(big_n, big_mu)
     asymptote = 1.0 + EULER_GAMMA + f_mu(big_mu)
@@ -735,7 +734,7 @@ def run_oscillation_check(cfg: ExperimentConfig) -> ResultRecord:
     report.value(f"asymptote 1+gamma+f mu={big_mu:g}", asymptote)
     report.check("series matches asymptote within 0.05", abs(series - asymptote) <= 0.05,
                  f"gap={abs(series - asymptote):.2e}")
-    return report.record(dims=list(cfg.dims), mu=cfg.mu)
+    return report.record(dims=list(cfg.dims), mu=_MU)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,8 @@ the reflection-chain evaluation of log Z(0).
 
 :func:`log_z_grid` is the one kernel that evaluates this sum over
 (eigenangles x points), for one spectrum or a stack of them; every value of
-Z or log Z on the circle that starts from eigenangles comes from it.  It
+Z or log Z on the circle that starts from eigenangles comes from it, and
+sums its N terms in one order whatever else its call holds.  It
 wraps no (angle, point) difference: log|Z| is a sum of log|2 sin| of raw
 half-differences, accurate next to an eigenangle, and Im log Z is a closed
 form plus pi times an eigenangle count.  Z itself is only ever formed as
@@ -58,6 +59,12 @@ _SINGULAR_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
 # Most (angles x points) elements log_z_grid holds in one temporary array.
 _GRID_BLOCK = 1 << 18
+# Allowance for the rounding of values on the FFT grid, relative to
+# N eps times the RMS of a pointwise bound of their moduli.  An empirical
+# constant, not a proven bound: the noise in the unused top of the inverse
+# FFT measures 1.2-2.8 N eps of its RMS from N = 16 to 512, so it leaves
+# about 3x headroom.
+_VALUE_NOISE = 8.0
 # eigenangles' first Cayley pole, pi + sqrt(2): generic, so that no
 # structured spectrum (+-1, +-i, roots of unity) sits on it.
 _POLE_ANGLE = np.pi + np.sqrt(2.0)
@@ -245,12 +252,15 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     accuracy, and across the 0/2pi seam d_k is as good as the float 2pi
     (about 2.4e-16).  Wrapping adds 2pi to exactly the negative d_k, so
     Im = sum (d_k mod 2pi - pi)/2 = (sum theta_k - N (t + pi))/2 +
-    pi #{d_k < 0}, counted in the same pass.  The points are walked in
-    blocks so that no temporary holds more than 2^18 elements.
+    pi #{d_k < 0}, counted in the same pass.  The spectra go to the kernel
+    as a stack of one row, whose points are walked in blocks so that no
+    temporary holds more than 2^18 elements.
     """
     angles = np.asarray(angles, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
-    re, im = _log_z_rows(angles, thetas.ravel())
+    points = thetas.ravel()
+    stack = angles.reshape(1, -1, angles.shape[-1])
+    re, im = _log_z_rows(stack, points, np.zeros(points.size, dtype=np.intp))
     shape = angles.shape[:-1] + thetas.shape
     return re.reshape(shape), im.reshape(shape)
 
@@ -267,33 +277,57 @@ def _fft_samples(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_z_grid(angles, np.arange(m) * (TWO_PI / m))
 
 
-def _log_z_rows(angles: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`log_z_grid`'s kernel, on either of two layouts of the points.
+def _fft_coefficients(values: np.ndarray, moduli: np.ndarray, n_dim: int):
+    """c_0..c_N of sum_m c_m e^{-i m phi} from its values, and their noise.
 
-    Points of shape (P,) are shared by every spectrum of ``angles``, shape
-    (..., N), giving (..., P); points of shape (S, 1, P) belong to row s of
-    a stack of angles of shape (S, T, N), giving (S, T, P).  One blocked
-    loop serves both, with the points' last axis walked in blocks.
+    ``values`` holds it at the M points of :func:`_fft_samples`, shape
+    (..., M), and ``moduli`` bounds their moduli.  The inverse FFT returns
+    c_0..c_N directly; unlike a product expansion, no intermediate
+    coefficient outgrows the values.  By Parseval the l2 error of the M
+    outputs is the RMS of the values' errors, allowed _VALUE_NOISE N eps
+    times the RMS of ``moduli``: the second result, shape (...).
     """
-    n_dim = angles.shape[-1]
+    rms = np.sqrt(np.mean(moduli ** 2, axis=-1))
+    return np.fft.ifft(values)[..., :n_dim + 1], _VALUE_NOISE * n_dim * np.finfo(float).eps * rms
+
+
+def _log_z_rows(angles: np.ndarray, points: np.ndarray, rows: np.ndarray):
+    """:func:`log_z_grid`'s kernel: (Re, Im) log Z at flat (row, point) pairs.
+
+    ``angles`` has shape (S, T, N), and ``points`` and ``rows`` shape (P,):
+    point p is taken on the spectra angles[rows[p]], giving two (T, P)
+    arrays.  The points go in near-equal blocks of at most 2^18 / (T N),
+    each a (T, N, c) buffer with the points innermost, so every value of a
+    call of P >= 2 points sums its N terms in order (one point keeps numpy's
+    pairwise sum).  A stack of one row takes the broadcast difference, any
+    other gathers its points' rows.
+    """
+    n_rows, n_terms, n_dim = angles.shape
     # halving is exact, so half differences keep every Sterbenz-exact digit
     half_angles = 0.5 * np.mod(angles, TWO_PI)
     half_points = 0.5 * np.mod(points, TWO_PI)
-    n_points = half_points.shape[-1]
-    re = np.empty(np.broadcast_shapes(angles.shape[:-1], half_points.shape[:-1]) + (n_points,))
+    n_points = half_points.size
+    re = np.empty((n_terms, n_points))
     below = np.empty(re.shape, dtype=np.intp)
-    step = max(1, _GRID_BLOCK // max(1, angles.size))
+    columns = np.moveaxis(half_angles, 0, -1)
+    step = max(1, _GRID_BLOCK // max(1, n_terms * n_dim))
+    n_blocks = max(1, -(-n_points // step))
+    bounds = np.arange(n_blocks + 1) * n_points // n_blocks
     with np.errstate(divide="ignore"):
-        for lo in range(0, n_points, step):
-            d = half_angles[..., :, None] - half_points[..., None, lo:lo + step]
-            np.add.reduce(d < 0.0, axis=-2, out=below[..., lo:lo + step])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if n_rows == 1:
+                d = columns - half_points[lo:hi]
+            else:
+                d = np.take(columns, rows[lo:hi], axis=-1)
+                d -= half_points[lo:hi]
+            np.add.reduce(d < 0.0, axis=1, out=below[:, lo:hi])
             np.sin(d, out=d)
             np.abs(d, out=d)
             np.log(d, out=d)
-            np.add.reduce(d, axis=-2, out=re[..., lo:lo + step])
+            np.add.reduce(d, axis=1, out=re[:, lo:hi])
     re += n_dim * np.log(2.0)
     im = np.pi * below
-    im += np.add.reduce(half_angles, axis=-1)[..., None] - n_dim * (half_points + 0.5 * np.pi)
+    im += np.add.reduce(half_angles, axis=-1)[rows].T - n_dim * (half_points + 0.5 * np.pi)
     return re, im
 
 

@@ -141,9 +141,7 @@ def test_04_coupling_bound_zero_violations():
 
 
 def test_05_oscillation_variance():
-    cfg = ExperimentConfig(
-        experiment="oscillation", dims=(64,), samples=10**5, seed=161616, mu=8 * np.pi
-    )
+    cfg = ExperimentConfig(experiment="oscillation", dims=(64,), samples=10**5, seed=161616)
     record = run_oscillation_check(cfg)
     assert_all_checks(record)
     table = rows(record)

@@ -251,6 +251,22 @@ def kernel_grid_logs(angles):
     return np.moveaxis(normalized_logs(angles, grid_points(angles.shape[-1])), -2, 0)
 
 
+@pytest.mark.parametrize("n_dim, n_terms, rows", [(64, 3, 2), (16, 2, 64), (128, 2, 1)])
+def test_grid_logs_do_not_depend_on_the_call(n_dim, n_terms, rows):
+    # every value sums its N terms in one order whatever else the call
+    # holds: per-sample calls on the 64 N grid equal one stacked call bit
+    # for bit, and so does each point evaluated beside one other
+    gen = RngStream(SEED, 40 + n_dim).generator()
+    angles = experiments._su_spectra(gen, rows, n_dim, n_terms)
+    thetas = grid_points(n_dim)
+    stacked = normalized_logs(angles, thetas)
+    for sample, logs in zip(angles, stacked):
+        np.testing.assert_array_equal(normalized_logs(sample, thetas), logs)
+    for q in range(0, thetas.size, 2):
+        np.testing.assert_array_equal(normalized_logs(angles, thetas[q:q + 2]),
+                                      stacked[..., q:q + 2])
+
+
 def counting_grid_calls(monkeypatch):
     # normalized_logs calls on exceptional_grid's whole grid
     calls = []
@@ -312,15 +328,15 @@ def test_exceptional_grid_falls_back_on_points_at_a_threshold(monkeypatch):
 
 
 def test_carrier_runner_takes_the_kernel_grid_only_on_a_fallback(monkeypatch):
-    # no kernel call with 64 N points per row unless a block falls back;
+    # no kernel call of one row and 64 N points unless a block falls back;
     # with every bound infinite every block falls back, one kernel call
     # on the grid each, and the records keep their bytes
     rows = []
     real_rows = cuelab.spectra._log_z_rows
 
-    def counting(angles, points):
-        rows.append(np.shape(points)[-1] == 64 * np.shape(angles)[-1])
-        return real_rows(angles, points)
+    def counting(angles, points, point_rows):
+        rows.append(len(angles) == 1 and np.size(points) == 64 * np.shape(angles)[-1])
+        return real_rows(angles, points, point_rows)
 
     monkeypatch.setattr(cuelab.spectra, "_log_z_rows", counting)
     configs = [

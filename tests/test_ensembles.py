@@ -308,9 +308,9 @@ def test_sign_changes_counts_are_pinned(n_dim):
 def test_sign_changes_is_level_synchronous(monkeypatch):
     calls = []
 
-    def counting(angles, points):
+    def counting(angles, points, rows):
         calls.append(np.shape(points))
-        return log_z_rows(angles, points)
+        return log_z_rows(angles, points, rows)
 
     log_z_rows = cuelab.ensembles._log_z_rows
     monkeypatch.setattr(cuelab.ensembles, "_log_z_rows", counting)
@@ -325,7 +325,7 @@ def test_sign_changes_is_level_synchronous(monkeypatch):
         calls.clear()
         sign_changes(stack, max_refine=max_refine)
         assert 1 <= len(calls) <= max_refine + 1
-        assert calls[0] == (6, 1, 8 * 64 + 2 * 64)
+        assert calls[0] == (6 * (8 * 64 + 2 * 64),)
 
 
 def ragged_stack(coeffs, n_dim, salt):
@@ -400,10 +400,13 @@ def test_bernstein_premises_of_the_early_exit(coeffs, n_dim):
     nodes = np.arange(8 * n_dim) * (TWO_PI / (8 * n_dim))
     step = TWO_PI / (64 * n_dim)
     fine = np.arange(64 * n_dim) * step
-    on_nodes, _ = cuelab.ensembles._rotation_rows(
-        coeffs, angles, np.broadcast_to(nodes, (rows, nodes.size)))
-    on_fine, moduli = cuelab.ensembles._rotation_rows(
-        coeffs, angles, np.broadcast_to(fine, (rows, fine.size)))
+    on_nodes = cuelab.ensembles._rotation(
+        coeffs, angles, np.repeat(np.arange(rows), nodes.size), np.tile(nodes, rows))[0]
+    on_fine, moduli = cuelab.ensembles._rotation(
+        coeffs, angles, np.repeat(np.arange(rows), fine.size), np.tile(fine, rows))
+    on_nodes = on_nodes.reshape(rows, nodes.size)
+    on_fine = on_fine.reshape(rows, fine.size)
+    moduli = moduli.reshape(len(coeffs), rows, fine.size).swapaxes(0, 1)
     bound = np.max(np.abs(on_nodes), axis=1) / (1.0 - np.pi / 16)
     assert np.all(np.max(np.abs(on_fine), axis=1) <= bound)
     sign = (-1.0) ** n_dim
@@ -426,15 +429,41 @@ def test_settled_brackets_leave_the_level_loop(monkeypatch):
     # (13.0%)
     evaluated = []
 
-    def counting(coefficients, angles, row, thetas):
-        evaluated.append(row.size)
-        return rotation_at(coefficients, angles, row, thetas)
+    def counting(coefficients, angles, rows, thetas):
+        evaluated.append(rows.size)
+        return rotation(coefficients, angles, rows, thetas)
 
-    rotation_at = cuelab.ensembles._rotation_at
-    monkeypatch.setattr(cuelab.ensembles, "_rotation_at", counting)
+    rotation = cuelab.ensembles._rotation
+    monkeypatch.setattr(cuelab.ensembles, "_rotation", counting)
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     sign_changes((np.array([1.0, 1.0]), angles))
-    assert sum(evaluated) <= 0.2 * 13889
+    # the first call takes the nodes, each later one a level's midpoints
+    assert sum(evaluated[1:]) <= 0.2 * 13889
+
+
+def test_level_calls_evaluate_only_live_midpoints(monkeypatch):
+    # each level's kernel call takes exactly the brackets the exit test left
+    # live, however unevenly they fall across the rows of the stack
+    points, live = [], []
+
+    def counting(*args):
+        points.append(np.size(args[1]))
+        return log_z_rows(*args)
+
+    def settling(*args):
+        settled = settled_brackets(*args)
+        live.append(np.count_nonzero(~settled))
+        return settled
+
+    log_z_rows = cuelab.ensembles._log_z_rows
+    settled_brackets = cuelab.ensembles._settled_brackets
+    monkeypatch.setattr(cuelab.ensembles, "_log_z_rows", counting)
+    monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", settling)
+    gen = RngStream(SEED, 23).generator()
+    angles = experiments._su_spectra(gen, 64, 16, 2)
+    sign_changes((np.array([1.0, -1.0]), angles))
+    assert len(points) > 2
+    assert points[1:] == [n for n in live if n]
 
 
 def close_pair_ensembles():

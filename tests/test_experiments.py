@@ -90,8 +90,6 @@ def test_config_validation():
         ExperimentConfig(experiment="moments", dims=(8,), samples=1)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="carrier", dims=(8,), delta=0.3)
-    with pytest.raises(InvalidConfigError):
-        ExperimentConfig(experiment="oscillation", dims=(8,), mu=0.0)
     # counts must be whole numbers, not truncated to one
     for field, value in [("dims", (8.9,)), ("samples", 2.7), ("grid_factor", 2.5),
                          ("subdivisions", 4.5), ("workers", 1.5)]:
@@ -124,9 +122,9 @@ def test_runner_preconditions(monkeypatch, capsys):
         # the root oracle that counts the zeros stops at N = 512
         run_fraction_on_circle(ExperimentConfig(experiment="fraction", dims=(8, 513), seed=1))
     with pytest.raises(InvalidConfigError):
-        # oscillation window must fit on the circle: mu <= 2 pi N
+        # oscillation window must fit on the circle: mu = 8 pi <= 2 pi N
         run_oscillation_check(
-            ExperimentConfig(experiment="oscillation", dims=(8,), samples=100, seed=1, mu=100.0)
+            ExperimentConfig(experiment="oscillation", dims=(3,), samples=100, seed=1)
         )
     # one angle has no gap and no sqrt(log N) scale; the carrier subdivision
     # needs N >= 4 and 2 <= K <= N/2
@@ -314,8 +312,7 @@ def test_block_runners_are_worker_invariant(runner, base):
 def test_singular_row_redraws_its_theta(monkeypatch, runner, fn, base):
     cfg = ExperimentConfig(**base, workers=1)
     rows = experiments._block_rows(8)
-    payload = 8 if base["experiment"] == "tails" else (8, cfg.mu)
-    job = [(fn, 0, payload, rows)]
+    job = [(fn, 0, 8, rows)]
     (clean,) = experiments._collect(cfg, job)
     real = experiments._szego
     calls = []
