@@ -99,13 +99,15 @@ def exceptional_mask(logs: np.ndarray, delta: float) -> np.ndarray:
     return mask
 
 
-def _grid_logs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_logs(samples: np.ndarray, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """FFT values of L_j on the grid of :func:`exceptional_grid`, and bounds.
 
-    ``angles`` has shape (..., N); both results have shape (..., G) with
-    G = 64 N.  Z_j(e^{-i phi}) = sum_m c_m e^{-i m phi}, so the inverse FFT
-    of Z_j at the M = 2^k >= 2N + 2 points of
-    :func:`~cuelab.spectra._fft_samples` gives c_0..c_N, and at
+    ``samples`` holds log Z of spectra of N angles on L >= 2N + 2 uniform
+    points, shape (..., L), from :func:`~cuelab.spectra._fft_samples`: its
+    M = 2^k >= 2N + 2 points for :func:`exceptional_grid`, or the carrier
+    runner's L = r g N points, which its sign scan reads too.  Both results
+    have shape (..., G) with G = 64 N.  Z_j(e^{-i phi}) = sum_m c_m e^{-i m phi},
+    so the inverse FFT of Z_j at those points gives c_0..c_N, and at
     theta_q = (q + 1/2) 2pi/G, Z_j = sum_m (c_m e^{-i pi m/G}) e^{-2pi i m q/G}
     is one zero-padded length-G FFT.  The value bound is
     e_j = sqrt(N + 1) e_c + 4 log2(G) eps |c_j|_1: the allowance e_c of the
@@ -114,11 +116,9 @@ def _grid_logs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding of the forward FFT.  Where e_j < |Z~_j| the bound of L_j is
     -log(1 - e_j/|Z~_j|) / sqrt(log(N)/2); elsewhere it is infinite.
     """
-    n_dim = angles.shape[-1]
     grid = _GRID_PER_ANGLE * n_dim
     eps = np.finfo(float).eps
-    re, im = _fft_samples(angles)
-    coeffs, noise = _fft_coefficients(np.exp(re + 1j * im), np.exp(re), n_dim)
+    coeffs, noise = _fft_coefficients(np.exp(samples), np.exp(samples.real), n_dim)
     twiddled = coeffs * np.exp(-1j * np.pi / grid * np.arange(n_dim + 1))
     values = np.abs(np.fft.fft(twiddled, n=grid))
     error = (math.sqrt(n_dim + 1) * noise
@@ -164,7 +164,12 @@ def exceptional_grid(angles, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """
     delta = _check_delta(delta)
     angles = np.asarray(angles, dtype=float)
-    logs, bound = (np.moveaxis(part, -2, 0) for part in _grid_logs(angles))
+    return _grid_masks(angles, _fft_samples(angles), delta)
+
+
+def _grid_masks(angles: np.ndarray, samples: np.ndarray, delta: float):
+    """:func:`exceptional_grid` on the log Z samples of its spectra (see :func:`_grid_logs`)."""
+    logs, bound = (np.moveaxis(part, -2, 0) for part in _grid_logs(samples, angles.shape[-1]))
     if not np.all(_settled_points(logs, bound, delta) & _settled_points(logs, bound, delta / 2.0)):
         grid = _GRID_PER_ANGLE * angles.shape[-1]
         thetas = (np.arange(grid) + 0.5) * (TWO_PI / grid)

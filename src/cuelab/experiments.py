@@ -15,12 +15,13 @@ block draws its matrices as one stacked reflection product and takes their
 certified spectra with one ``eigenangles`` call (Cayley transform, ``eigh``
 and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
 the sign changes of all its ensembles with one stacked ``sign_changes``
-call, whose level loop refines every bracket of the block at once.  A
-``fraction`` block takes its exact circle-zero counts with one stacked
-``circle_zero_counts`` call; a ``carrier`` block builds one subdivision
-and reduces all of its samples as arrays, with no ensemble object, and
-takes its exceptional sets on the 64 N grid with one ``exceptional_grid``
-call, from each spectrum's coefficients by FFT.
+call, whose level loop refines every bracket of the block at once, on
+its uniform nodes from one pass of log Z samples that the block shares.
+A ``fraction`` block takes its exact circle-zero counts from the same
+samples with one stacked ``circle_zero_counts`` call; a ``carrier`` block
+builds one subdivision and reduces all of its samples as arrays, with no
+ensemble object, and takes its exceptional sets on the 64 N grid from
+each spectrum's coefficients, by FFT of the same samples.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -56,7 +57,7 @@ from .errors import CuelabError, InvalidConfigError, NumericalFailureError
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI, _SINGULAR_TOL, _check_regular, _szego, eigenangles,
+    TWO_PI, _SINGULAR_TOL, _check_regular, _fft_samples, _szego, eigenangles,
     log_z_from_chain, log_z_grid, log_z_verblunsky,
 )
 from .specfun import (
@@ -67,7 +68,7 @@ from .ensembles import (
     sign_changes,
 )
 from .carrier import (
-    base_angles, carrier_wave_index, exceptional_grid, exceptional_mask, narrow_gap_count,
+    _grid_masks, base_angles, carrier_wave_index, exceptional_mask, narrow_gap_count,
     narrow_gap_threshold, normalized_logs, subdivision,
 )
 from .results import EstimateRow, ResultRecord
@@ -368,17 +369,20 @@ def _su_spectra(gen, count: int, dim: int, n_terms: int) -> np.ndarray:
 def _sample_fraction(gen, count, payload) -> np.ndarray:
     """(circle fraction, audit, lower-bound flags) of ``count`` ensembles.
 
-    The block's sign changes come from one stacked count, and its exact
-    circle-zero counts from one stacked ``circle_zero_counts`` call on the
-    non-degenerate rows.  A row whose count the certificate cannot settle
-    is counted by the root oracle instead, as N <= ORACLE_MAX_DIM here.  A
-    degenerate ensemble, or one whose coefficients all vanish, is a NaN row.
+    One pass of log Z samples on the sign scan's grid (see
+    :func:`~cuelab.spectra._fft_samples`) feeds both the block's stacked
+    sign-change count and its exact circle-zero counts, one stacked
+    ``circle_zero_counts`` call on the non-degenerate rows.  A row whose
+    count the certificate cannot settle is counted by the root oracle
+    instead, as N <= ORACLE_MAX_DIM here.  A degenerate ensemble, or one
+    whose coefficients all vanish, is a NaN row.
     """
     dim, grid_factor, coeffs = payload
     angles = _su_spectra(gen, count, dim, len(coeffs))
-    changes = sign_changes((coeffs, angles), grid_factor=grid_factor)
+    samples = _fft_samples(angles, grid_factor * dim)
+    changes = sign_changes((coeffs, angles, samples), grid_factor=grid_factor)
     rows = np.flatnonzero(changes >= 0)
-    zeros = circle_zero_counts((coeffs, angles[rows]), uncertified=-2)
+    zeros = circle_zero_counts((coeffs, angles[rows], samples[rows]), uncertified=-2)
     for k in np.flatnonzero(zeros == -2):
         zeros[k] = circle_root_count(roots_oracle(CombinationEnsemble(coeffs, angles[rows[k]])))
     rows, zeros = rows[zeros >= 0], zeros[zeros >= 0]
@@ -792,31 +796,42 @@ def run_gap_check(cfg: ExperimentConfig) -> ResultRecord:
 def _sample_carrier(gen, count, payload) -> np.ndarray:
     """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds) per ensemble.
 
-    The block is reduced as arrays over its (S, T, N) angles: one stacked
-    sign-change count, one subdivision, one ``exceptional_grid`` call for
-    the masks on the 64 N grid (FFT logs, or the kernel if a point is not
-    certified) and one ``normalized_logs`` call per sample on its own
-    points, which start at its base angle theta0.  A degenerate ensemble
-    is a NaN row.
+    The block is reduced as arrays over its (S, T, N) angles: one pass of
+    log Z samples on the sign scan's grid, which feeds the stacked
+    sign-change count and the masks on the 64 N grid (FFT logs from the
+    same samples, or the kernel if a point is not certified), one
+    subdivision, and per sample two ``normalized_logs`` calls at most on
+    its own points, which start at its base angle theta0.  A degenerate
+    ensemble is a NaN row.
     """
     dim, coeffs, k_div, delta, grid_factor = payload
     config = subdivision(dim, k_div, delta)
     angles = _su_spectra(gen, count, dim, len(coeffs))
-    measured = sign_changes((coeffs, angles), grid_factor=grid_factor)
+    samples = _fft_samples(angles, grid_factor * dim)
+    measured = sign_changes((coeffs, angles, samples), grid_factor=grid_factor)
     out = np.full((count, 7), math.nan)
     rows = np.flatnonzero(measured >= 0)
     if rows.size == 0:
         return out
     angles, measured = angles[rows], measured[rows]
-    mask, mask_half = exceptional_grid(angles, config.delta)
+    mask, mask_half = _grid_masks(angles, samples[rows], config.delta)
     # Per subinterval k of sample s: 8 stability points, then 16 bound
-    # candidates at the left edge, from one kernel call per sample.
+    # candidates at the left edge.  The first round takes the stability
+    # points and the first 4 candidates; the second the other 12, only on
+    # subintervals where none of the first 4 is usable.  A point's logs do
+    # not depend on the call, and those left NaN lie past the first usable
+    # candidate, which is all the bound reads.
     lefts = base_angles(angles, config)[:, None] + config.Delta * np.arange(config.K)
     offsets = np.linspace(0.0, math.sqrt(config.delta) * config.Delta, 16, endpoint=False)
     steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
     points = np.mod(lefts[..., None] + np.concatenate([steps, offsets]), TWO_PI)  # (S, K, 24)
-    point_logs = np.stack([normalized_logs(a, p) for a, p in zip(angles, points)], axis=1)
-    usable = ~exceptional_mask(point_logs, config.delta)
+    point_logs = np.full((len(coeffs),) + points.shape, math.nan)
+    todo = np.broadcast_to(np.arange(24) < 12, points.shape)
+    for _ in range(2):
+        for s in np.flatnonzero(np.any(todo, axis=(1, 2))):
+            point_logs[:, s, todo[s]] = normalized_logs(angles[s], points[s][todo[s]])
+        usable = ~exceptional_mask(point_logs, config.delta)
+        todo = (np.arange(24) >= 12) & ~np.any(usable[..., 8:12], axis=-1, keepdims=True)
     carriers = carrier_wave_index(point_logs)
     # Carrier-index stability: on each subinterval, the index evaluated on
     # the 8-point grid (outside the exceptional set) must not move, so its

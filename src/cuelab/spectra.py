@@ -62,8 +62,8 @@ _GRID_BLOCK = 1 << 18
 # Allowance for the rounding of values on the FFT grid, relative to
 # N eps times the RMS of a pointwise bound of their moduli.  An empirical
 # constant, not a proven bound: the noise in the unused top of the inverse
-# FFT measures 1.2-2.8 N eps of its RMS from N = 16 to 512, so it leaves
-# about 3x headroom.
+# FFT measures at most 1.6-3.0 N eps of its RMS from N = 16 to 512, on
+# M = 2^k points and on the runners' 8 N alike, so it leaves 2.6x headroom.
 _VALUE_NOISE = 8.0
 # eigenangles' first Cayley pole, pi + sqrt(2): generic, so that no
 # structured spectrum (+-1, +-i, roots of unity) sits on it.
@@ -254,7 +254,8 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     Im = sum (d_k mod 2pi - pi)/2 = (sum theta_k - N (t + pi))/2 +
     pi #{d_k < 0}, counted in the same pass.  The spectra go to the kernel
     as a stack of one row, whose points are walked in blocks so that no
-    temporary holds more than 2^18 elements.
+    temporary holds more than 2^18 elements, or four points where the
+    stack holds more than 2^16 angles.
     """
     angles = np.asarray(angles, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -265,27 +266,33 @@ def log_z_grid(angles, thetas) -> tuple[np.ndarray, np.ndarray]:
     return re.reshape(shape), im.reshape(shape)
 
 
-def _fft_samples(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) log Z of every spectrum at the M points 2pi p/M, p < M.
+def _fft_samples(angles: np.ndarray, base: int = 1) -> np.ndarray:
+    """log Z = Re + i Im of every spectrum at the L points 2pi p/L, p < L.
 
-    M = 2^k >= 2N + 2 for spectra of N angles, so the inverse FFT of a
-    sampled Z(e^{-i phi}) = sum_m c_m e^{-i m phi}, or of a combination of
-    them, returns c_0..c_N unaliased and leaves the top M - N - 1 outputs
-    as a measure of the rounding.  Shapes as :func:`log_z_grid`.
+    L = base 2^k, the least such L >= 2N + 2 for spectra of N angles, so
+    the inverse FFT of a sampled Z(e^{-i phi}) = sum_m c_m e^{-i m phi}, or
+    of a combination of them, returns c_0..c_N unaliased and leaves the top
+    L - N - 1 outputs as a measure of the rounding.  A standalone count
+    takes base 1; the runners take base g N, the sign scan's grid, which
+    then reads every (L / g N)-th sample.  The result has shape
+    ``angles.shape[:-1] + (L,)``; its values are :func:`log_z_grid`'s.
     """
-    m = 1 << (2 * angles.shape[-1] + 1).bit_length()
-    return log_z_grid(angles, np.arange(m) * (TWO_PI / m))
+    n_dim = angles.shape[-1]
+    size = base << (-(-(2 * n_dim + 2) // base) - 1).bit_length()
+    re, im = log_z_grid(angles, np.arange(size) * (TWO_PI / size))
+    return re + 1j * im
 
 
 def _fft_coefficients(values: np.ndarray, moduli: np.ndarray, n_dim: int):
     """c_0..c_N of sum_m c_m e^{-i m phi} from its values, and their noise.
 
-    ``values`` holds it at the M points of :func:`_fft_samples`, shape
-    (..., M), and ``moduli`` bounds their moduli.  The inverse FFT returns
-    c_0..c_N directly; unlike a product expansion, no intermediate
-    coefficient outgrows the values.  By Parseval the l2 error of the M
-    outputs is the RMS of the values' errors, allowed _VALUE_NOISE N eps
-    times the RMS of ``moduli``: the second result, shape (...).
+    ``values`` holds it at L >= 2N + 2 uniform points 2pi p/L, shape
+    (..., L), as :func:`_fft_samples` gives them, and ``moduli`` bounds
+    their moduli.  The inverse FFT returns c_0..c_N directly; unlike a
+    product expansion, no intermediate coefficient outgrows the values.
+    By Parseval the l2 error of the L outputs is the RMS of the values'
+    errors, whatever L is, allowed _VALUE_NOISE N eps times the RMS of
+    ``moduli``: the second result, shape (...).
     """
     rms = np.sqrt(np.mean(moduli ** 2, axis=-1))
     return np.fft.ifft(values)[..., :n_dim + 1], _VALUE_NOISE * n_dim * np.finfo(float).eps * rms
@@ -297,10 +304,11 @@ def _log_z_rows(angles: np.ndarray, points: np.ndarray, rows: np.ndarray):
     ``angles`` has shape (S, T, N), and ``points`` and ``rows`` shape (P,):
     point p is taken on the spectra angles[rows[p]], giving two (T, P)
     arrays.  The points go in near-equal blocks of at most 2^18 / (T N),
-    each a (T, N, c) buffer with the points innermost, so every value of a
-    call of P >= 2 points sums its N terms in order (one point keeps numpy's
-    pairwise sum).  A stack of one row takes the broadcast difference, any
-    other gathers its points' rows.
+    but at least four, each a (T, N, c) buffer with the points innermost;
+    every block of a call of P >= 2 points then holds two or more, so every
+    value sums its N terms in order (one point keeps numpy's pairwise sum).
+    A stack of one row takes the broadcast difference, any other gathers
+    its points' rows.
     """
     n_rows, n_terms, n_dim = angles.shape
     # halving is exact, so half differences keep every Sterbenz-exact digit
@@ -310,7 +318,7 @@ def _log_z_rows(angles: np.ndarray, points: np.ndarray, rows: np.ndarray):
     re = np.empty((n_terms, n_points))
     below = np.empty(re.shape, dtype=np.intp)
     columns = np.moveaxis(half_angles, 0, -1)
-    step = max(1, _GRID_BLOCK // max(1, n_terms * n_dim))
+    step = max(4, _GRID_BLOCK // max(1, n_terms * n_dim))
     n_blocks = max(1, -(-n_points // step))
     bounds = np.arange(n_blocks + 1) * n_points // n_blocks
     with np.errstate(divide="ignore"):

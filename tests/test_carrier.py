@@ -23,7 +23,7 @@ from cuelab.ensembles import CombinationEnsemble
 from cuelab.errors import InvalidArgumentError, InvalidConfigError
 from cuelab.experiments import ExperimentConfig, run_carrier_diagnostics
 from cuelab.results import to_json_text
-from cuelab.spectra import EigenangleSpectrum, eigenangles, log_z
+from cuelab.spectra import EigenangleSpectrum, _fft_samples, eigenangles, log_z
 
 SEED = 60601
 
@@ -291,9 +291,12 @@ def test_exceptional_grid_equals_the_kernel_masks(monkeypatch):
         for n_terms in (1, 2, 3):
             gen = RngStream(SEED, 900 + 3 * n_dim + n_terms).generator()
             angles = experiments._su_spectra(gen, 512 // n_dim, n_dim, n_terms)
-            logs, bound = carrier._grid_logs(angles)
             kernel = kernel_grid_logs(angles)
-            assert np.all(np.abs(np.moveaxis(logs, -2, 0) - kernel) <= np.moveaxis(bound, -2, 0))
+            # the standalone grid M = 2^k >= 2N + 2 and the runners' 8 N
+            for base in (1, 8 * n_dim):
+                logs, bound = carrier._grid_logs(_fft_samples(angles, base), n_dim)
+                assert np.all(np.abs(np.moveaxis(logs, -2, 0) - kernel)
+                              <= np.moveaxis(bound, -2, 0))
             for delta in (subdivision(n_dim).delta, 0.05, 0.1, 0.2):
                 masks = exceptional_grid(angles, delta)
                 for got, scale in zip(masks, (1.0, 0.5)):
@@ -311,7 +314,8 @@ def test_exceptional_grid_falls_back_on_points_at_a_threshold(monkeypatch):
     gen = RngStream(SEED, 31).generator()
     angles = experiments._su_spectra(gen, 3, 32, 2)
     kernel = kernel_grid_logs(angles)
-    logs, bound = (np.moveaxis(part, -2, 0) for part in carrier._grid_logs(angles))
+    parts = carrier._grid_logs(_fft_samples(angles), 32)
+    logs, bound = (np.moveaxis(part, -2, 0) for part in parts)
     gaps, peaks = np.abs(kernel[0] - kernel[1]), np.abs(kernel[0])
     picked = []
     for values, to_delta in ((gaps, lambda v: v), (peaks, lambda v: 1.0 / v)):
@@ -348,8 +352,8 @@ def test_carrier_runner_takes_the_kernel_grid_only_on_a_fallback(monkeypatch):
     records = [to_json_text(run_carrier_diagnostics(cfg)) for cfg in configs]
     assert rows and not any(rows)
 
-    def unbounded(angles):
-        logs, bound = grid_logs(angles)
+    def unbounded(samples, n_dim):
+        logs, bound = grid_logs(samples, n_dim)
         return logs, np.full(bound.shape, np.inf)
 
     grid_logs = carrier._grid_logs

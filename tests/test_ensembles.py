@@ -1,7 +1,7 @@
 """Trigonometric combinations of characteristic polynomials and their zeros.
 
 Three counting routes must agree: sign changes of the real rotation on the
-circle (a lower bound), the certified Schur-Cohn inertia count, and
+circle (a lower bound), the certified Schur-Cohn table count, and
 companion-matrix roots of the polynomial whose coefficients come from an
 FFT of the combination on the circle.
 """
@@ -22,7 +22,7 @@ from cuelab.ensembles import (
 from cuelab.errors import (
     DegenerateCombinationError, InvalidArgumentError, InvalidEnsembleError, NumericalFailureError,
 )
-from cuelab.spectra import TWO_PI, EigenangleSpectrum, eigenangles, log_z
+from cuelab.spectra import TWO_PI, EigenangleSpectrum, _fft_samples, eigenangles, log_z
 
 SEED = 271828
 
@@ -314,18 +314,21 @@ def test_sign_changes_is_level_synchronous(monkeypatch):
 
     log_z_rows = cuelab.ensembles._log_z_rows
     monkeypatch.setattr(cuelab.ensembles, "_log_z_rows", counting)
+    monkeypatch.setattr(cuelab.spectra, "_log_z_rows", counting)
     ens = make_ens([1.0, 1.0], 64, salt=18)
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     stack = (ens.coefficients, angles)
     for max_refine in (0, 5, 20):
         calls.clear()
         sign_changes(ens, max_refine=max_refine)
-        assert 1 <= len(calls) <= max_refine + 1
+        assert 2 <= len(calls) <= max_refine + 2
         # a whole stack of ensembles takes no more calls than one ensemble
         calls.clear()
         sign_changes(stack, max_refine=max_refine)
-        assert 1 <= len(calls) <= max_refine + 1
-        assert calls[0] == (6 * (8 * 64 + 2 * 64),)
+        assert 2 <= len(calls) <= max_refine + 2
+        # the first call takes the samples on the 8 N uniform nodes, the
+        # second the eigenangles, at each of which the other term is evaluated
+        assert calls[:2] == [(8 * 64,), (6 * 2 * 64,)]
 
 
 def ragged_stack(coeffs, n_dim, salt):
@@ -425,8 +428,8 @@ def test_bernstein_premises_of_the_early_exit(coeffs, n_dim):
 
 def test_settled_brackets_leave_the_level_loop(monkeypatch):
     # a 6-row N = 64 stack: full bisection of every live bracket to the
-    # 20-level cap evaluated 13,889 midpoints; the exit test leaves 1,811
-    # (13.0%)
+    # 20-level cap evaluated 13,889 midpoints; the exit test leaves 1,270
+    # (9.1%)
     evaluated = []
 
     def counting(coefficients, angles, rows, thetas):
@@ -437,8 +440,9 @@ def test_settled_brackets_leave_the_level_loop(monkeypatch):
     monkeypatch.setattr(cuelab.ensembles, "_rotation", counting)
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     sign_changes((np.array([1.0, 1.0]), angles))
-    # the first call takes the nodes, each later one a level's midpoints
-    assert sum(evaluated[1:]) <= 0.2 * 13889
+    # the nodes come from the samples and the eigenangle call, so each call
+    # takes a level's midpoints
+    assert sum(evaluated) <= 0.2 * 13889
 
 
 def test_level_calls_evaluate_only_live_midpoints(monkeypatch):
@@ -623,3 +627,113 @@ def test_single_term_counts_at_large_n_are_certified_or_flagged():
                   for a in angles]
         assert oracle == [n_dim] * rows
         assert counts.tolist() == oracle
+
+
+def test_g_is_a_function_of_the_point_alone():
+    # G at a (row, theta) point does not depend on the other points of its
+    # call: a whole point list equals consecutive pairs bit for bit, and the
+    # sign scan's shared samples give G on the nodes and at the
+    # eigenangles exactly as the level loop's evaluator does
+    gen = RngStream(SEED, 60).generator()
+    coeffs = np.array([1.0, 2.0, 3.0])
+    angles = experiments._su_spectra(gen, 4, 64, 3)
+    rows = gen.integers(0, 4, size=1000)
+    thetas = gen.uniform(0.0, TWO_PI, size=1000)
+    whole, moduli = cuelab.ensembles._rotation(coeffs, angles, rows, thetas)
+    for p in range(0, 1000, 2):
+        pair, pair_moduli = cuelab.ensembles._rotation(coeffs, angles, rows[p:p + 2],
+                                                       thetas[p:p + 2])
+        np.testing.assert_array_equal(pair, whole[p:p + 2])
+        np.testing.assert_array_equal(pair_moduli, moduli[:, p:p + 2])
+    nodes = np.arange(8 * 64) * (TWO_PI / (8 * 64))
+    samples = np.moveaxis(_fft_samples(angles, 8 * 64), 1, 0)
+    on_nodes, node_moduli = cuelab.ensembles._real_part(coeffs, samples.real, samples.imag,
+                                                        nodes, 64)
+    at_nodes = cuelab.ensembles._rotation(coeffs, angles, np.repeat(np.arange(4), nodes.size),
+                                          np.tile(nodes, 4))
+    np.testing.assert_array_equal(on_nodes.ravel(), at_nodes[0])
+    np.testing.assert_array_equal(node_moduli.reshape(3, -1), at_nodes[1])
+    own, own_moduli = cuelab.ensembles._own_angle_rotation(coeffs, angles)
+    at_own = cuelab.ensembles._rotation(coeffs, angles, np.repeat(np.arange(4), 3 * 64),
+                                        angles.ravel())
+    np.testing.assert_array_equal(own.ravel(), at_own[0])
+    np.testing.assert_array_equal(own_moduli.reshape(3, -1), at_own[1])
+
+
+def reference_inertia_counts(coeffs, angles):
+    """(counts, certified) by the Schur-Cohn matrix: the reference for the table.
+
+    For q = p' of degree d, with T_1 and T_2 the d x d lower-triangular
+    Toeplitz matrices of q_0..q_{d-1} and conj q_d..conj q_1,
+    H = T_2^H T_2 - T_1^H T_1 has as many negative eigenvalues as q has
+    zeros outside the circle (Schur-Cohn, Krein-Naimark), so the count is
+    n - 2 #{lambda(H) < 0}.  A row is certified where min|lambda| exceeds
+    16 n eps (max|lambda| + |T_1|_F^2 + |T_2|_F^2) + 2e(|T_1|_F + |T_2|_F + e),
+    e = sqrt(d) n times the coefficients' noise allowance (Weyl).
+    """
+    n_dim = angles.shape[-1]
+    values, noise = cuelab.ensembles._combination_coefficients(
+        coeffs, _fft_samples(angles), n_dim)
+    counts, certified = [], []
+    for row, row_noise in zip(values, noise):
+        kept = np.flatnonzero(np.abs(row) > 1e-10 * np.abs(row).max())
+        p = row[kept[0]:kept[-1] + 1]
+        n = len(p) - 1
+        if n <= 1:
+            counts.append(n)
+            certified.append(True)
+            continue
+        d = n - 1
+        q = p[1:] * np.arange(1, n + 1)
+        lag = np.subtract.outer(np.arange(d), np.arange(d))
+        lower = lag >= 0
+        lag = np.maximum(lag, 0)
+        t1 = np.where(lower, q[lag], 0.0)
+        t2 = np.where(lower, np.conj(q[:0:-1])[lag], 0.0)
+        lam = np.linalg.eigvalsh(np.conj(t2).T @ t2 - np.conj(t1).T @ t1)
+        f1 = np.sqrt(np.abs(q[:d]) ** 2 @ np.arange(d, 0, -1))
+        f2 = np.sqrt(np.abs(q[1:]) ** 2 @ np.arange(1, d + 1))
+        e = np.sqrt(d) * n * row_noise
+        allowance = (16.0 * n * np.finfo(float).eps * (np.abs(lam).max() + f1 ** 2 + f2 ** 2)
+                     + 2.0 * e * (f1 + f2 + e))
+        counts.append(n - 2 * int(np.count_nonzero(lam < 0.0)))
+        certified.append(bool(np.abs(lam).min() > allowance))
+    return np.array(counts), np.array(certified)
+
+
+def test_table_counts_equal_the_matrix_reference():
+    # The table's count against the Schur-Cohn matrix's on 1,024 rows at
+    # N = 8..64 with one to three terms, the close pairs, and 20 rows at
+    # N = 256 and 512; every row is certified by both routes.
+    stacks = []
+    for salt, coeffs in enumerate(((1.0, -1.0), (1.0,), (1.0, 1.0), (1.0, 2.0, 3.0))):
+        for n_dim, rows in ((8, 120), (16, 80), (32, 40), (64, 16)):
+            gen = RngStream(SEED, 700 + 10 * salt + n_dim).generator()
+            angles = experiments._su_spectra(gen, rows, n_dim, len(coeffs))
+            stacks.append((np.array(coeffs), angles))
+    stacks += [(ens.coefficients, ens.angles[None]) for ens in close_pair_ensembles()]
+    for salt, (coeffs, n_dim, rows) in enumerate((((1.0, 1.0), 256, 10), ((1.0, 2.0, 3.0), 256, 6),
+                                                  ((1.0, 1.0), 512, 2), ((1.0,), 512, 2))):
+        gen = RngStream(SEED, 760 + salt).generator()
+        stacks.append((np.array(coeffs), experiments._su_spectra(gen, rows, n_dim, len(coeffs))))
+    checked = 0
+    for coeffs, angles in stacks:
+        counts = circle_zero_counts((coeffs, angles), uncertified=-2)
+        reference, certified = reference_inertia_counts(coeffs, angles)
+        assert np.all(certified), (coeffs, angles.shape)
+        np.testing.assert_array_equal(counts, reference, err_msg=str((coeffs, angles.shape)))
+        checked += len(angles)
+    assert checked == 1024 + 3 + 20
+
+
+def test_table_margin_is_the_least_step_ratio():
+    # z - c has one step, delta = |c|^2 - 1; (z - 2)(z - 1/3) has its zero
+    # 1/3 inside and its margin at the first step; a zero on the circle
+    # makes the last step vanish
+    inside, margin = cuelab.ensembles._schur_cohn(np.array([[-0.5, 1.0], [-2.0, 1.0]]))
+    assert inside.tolist() == [1, 0]
+    np.testing.assert_allclose(margin, [0.75 / 1.25, 3.0 / 5.0])
+    q = np.polynomial.polynomial.polyfromroots([2.0, 1.0 / 3.0]).astype(complex)
+    inside, margin = cuelab.ensembles._schur_cohn(np.array([q, np.array([-1.0, 0.0, 1.0])]))
+    assert inside[0] == 1
+    assert not margin[1] > 0.0

@@ -4,6 +4,8 @@ Each runner gets a seeded smoke run whose internal consistency checks
 must all pass; the statistically heavy versions live in test_acceptance.
 """
 
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -38,6 +40,7 @@ from cuelab.experiments import (
     run_trace_covariance,
 )
 from cuelab.results import EstimateRow, read_record, to_json_text
+from cuelab.ensembles import circle_zero_counts
 from cuelab.spectra import LogZ
 
 
@@ -203,11 +206,36 @@ def test_fraction_falls_back_to_the_oracle_on_uncertified_rows(monkeypatch):
         calls.append(ens)
         return real(ens)
 
-    monkeypatch.setattr(cuelab.ensembles, "_INERTIA_SLACK", np.inf)
+    monkeypatch.setattr(cuelab.ensembles, "_TABLE_MARGIN", np.inf)
     monkeypatch.setattr(experiments, "roots_oracle", oracle)
     fallback = run_fraction_on_circle(cfg)
     assert len(calls) == exact.estimates[0].n == 20
     assert to_json_text(fallback) == to_json_text(exact)
+
+
+# SHA-256 of the sorted-key JSON of (parameters, estimates) of three zero
+# count records at seed 2013, taken before the count shared its log Z
+# samples and the Schur-Cohn table replaced the matrix inertia: any drift
+# in their bytes fails here by name.
+RECORD_DIGESTS = [
+    (run_fraction_on_circle, dict(experiment="fraction", dims=(16,), coefficients=(1.0, -1.0),
+                                  samples=80),
+     "428dc20b76db8886dc750b02915f4dc6f60193e13df2e2952af311b3c5b6a929"),
+    (run_fraction_on_circle, dict(experiment="fraction", dims=(64,), coefficients=(1.0, 1.0),
+                                  samples=12),
+     "b0646e7222c7c795005b212103359e776456b2767482b7d9c6b58070f834bb0e"),
+    (run_carrier_diagnostics, dict(experiment="carrier", dims=(64,), coefficients=(1.0, 2.0, 3.0),
+                                   samples=4),
+     "51240e60cec1f549affe735f69c4fea70c6e1c1dacc3b50505ad3fd3cf727fab"),
+]
+
+
+@pytest.mark.parametrize("runner, settings, digest", RECORD_DIGESTS)
+def test_zero_count_records_keep_their_digests(runner, settings, digest):
+    record = json.loads(to_json_text(runner(ExperimentConfig(**settings, seed=2013, workers=1))))
+    text = json.dumps({"parameters": record["parameters"], "estimates": record["estimates"]},
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
@@ -615,6 +643,8 @@ def test_carrier_block_bound_equals_the_per_subinterval_loop(monkeypatch, dim, k
     reference = [carrier_row_reference(a, config, threshold, m) for a, m in zip(angles, rows[:, 5])]
     np.testing.assert_array_equal(rows[:, [3, 4, 6]], reference)
     assert np.all(rows[:, 4] > 0)
+    # the bound is a lower bound of the exact circle-zero count
+    assert np.all(rows[:, 4] <= circle_zero_counts((np.array(coeffs), angles)))
 
 
 def test_carrier_bound_leaves_out_an_angle_on_the_arc_end(monkeypatch):
