@@ -105,7 +105,7 @@ def _grid_logs(samples: np.ndarray, n_dim: int) -> tuple[np.ndarray, np.ndarray]
     ``samples`` holds log Z of spectra of N angles on L >= 2N + 2 uniform
     points, shape (..., L), from :func:`~cuelab.spectra._fft_samples`: its
     M = 2^k >= 2N + 2 points for :func:`exceptional_grid`, or the carrier
-    runner's L = r g N points, which its sign scan reads too.  Both results
+    runner's 8N points, the nodes of its sign scan.  Both results
     have shape (..., G) with G = 64 N.  Z_j(e^{-i phi}) = sum_m c_m e^{-i m phi},
     so the inverse FFT of Z_j at those points gives c_0..c_N, and at
     theta_q = (q + 1/2) 2pi/G, Z_j = sum_m (c_m e^{-i pi m/G}) e^{-2pi i m q/G}

@@ -33,7 +33,6 @@ _OPTIONS = {
     "--dims": dict(type=_comma_list(int), help="comma-separated matrix sizes"),
     "--coeffs": dict(type=_comma_list(float), dest="coefficients", metavar="COEFFS",
                      help="comma-separated nonzero combination coefficients"),
-    "--grid-factor": dict(type=int, help="sign-scan nodes per unit dimension"),
     "--delta": dict(type=float, help="exceptional-set parameter in (0, 1/4)"),
     "--subdivisions": dict(type=int, help="number K of circle subintervals"),
     "--samples": dict(type=int, help="Monte Carlo samples per N"),
@@ -43,7 +42,7 @@ _OPTIONS = {
 }
 _SHARED = ("--seed", "--format", "--out")
 _SAMPLED = ("--dims", "--samples")
-_COMBINATION = (*_SAMPLED, "--coeffs", "--grid-factor")
+_COMBINATION = (*_SAMPLED, "--coeffs")
 
 # Per subcommand: its help line, its own defaults, and the options its
 # runner reads besides _SHARED.  Every other default is ExperimentConfig's:

@@ -24,10 +24,9 @@ Three routes count the zeros of F on the unit circle.
    one ``np.roots`` per ensemble, capped at N = ORACLE_MAX_DIM.
 
 Routes 2 and 3 share F's coefficients, an inverse FFT of F sampled on a
-uniform grid of the circle.  A runner block takes one pass of samples,
-on L = r g N points, r the least power of two with L >= 2N + 2: the sign
-scan reads every r-th and the count transforms all L.  Every route takes
-each Z_j from the kernel of
+uniform grid of the circle.  A runner block takes one pass of samples on
+the sign scan's 8N nodes (8N >= 2N + 2 at every N), which the count
+transforms as they are.  Every route takes each Z_j from the kernel of
 :func:`~cuelab.spectra.log_z_grid` as exp(log Z_j), so G and F stay finite
 at any N.  As Im log Z_j is pi c_j plus a closed form, with
 c_j = #{theta_jk < theta}, term j of G has the sign of
@@ -35,9 +34,9 @@ b_j (-1)^(m_j + c_j), where 2pi m_j is the det-1 angle sum.  One
 ensemble is checked as a stack of one, by the same code as a whole stack.
 
 G has frequencies -N/2..N/2 in theta, so Bernstein's inequality bounds
-every derivative by the maximum: sup|G^(k)| <= (N/2)^k M.  On a grid of
-spacing 2pi/(gN), g >= 2, the same inequality gives
-M = max over the nodes of (|G| + e) / (1 - pi/(2g)), where e bounds the
+every derivative by the maximum: sup|G^(k)| <= (N/2)^k M.  On the grid of
+spacing 2pi/(8N) the same inequality gives
+M = max over the nodes of (|G| + e) / (1 - pi/16), where e bounds the
 rounding of the computed G.  If a bracket [a, b] of width w held k zeros
 of G, interpolation at them would give |G(a)| + |G(b)| <= M (N/2)^k w^k / k!.
 So endpoint magnitudes summing above that bound, less 2e, leave fewer
@@ -80,6 +79,9 @@ _ROUNDING_SLACK = 1e-8
 # Schur-Cohn table's least |delta_k| / (|a_0|^2 + |a_d|^2) must exceed; from
 # degree 250 up the multiple is 16 n^2 (calibrated; see circle_zero_counts).
 _TABLE_MARGIN = 1e6
+# Sign-scan nodes per unit dimension, and the depth of its level loop.
+_GRID_FACTOR = 8
+_REFINE_DEPTH = 20
 # Largest N the root oracle, and fraction's dense route, accept: np.roots
 # costs O(N^3), about 1.3 s at N = 512, where roots on the circle still sit
 # within 2e-14 of it.  The exact count takes no roots and has no cap.
@@ -175,9 +177,9 @@ def _stack(ens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The validated (coefficients (T,), det-1 angles (S, T, N), samples) of a stack.
 
     The only ensemble check; det 1 is decided on each row's angle sum.  A
-    stack may carry a third part, the log Z samples of its spectra from
-    :func:`~cuelab.spectra._fft_samples`, shape (S, T, L) with
-    L >= 2N + 2; it is None otherwise.
+    stack may carry a third part, the log Z samples of its spectra on the
+    sign scan's nodes 2pi p/(8N), shape (S, T, 8N), as
+    :func:`~cuelab.spectra._fft_samples` gives them; it is None otherwise.
     """
     parts = tuple(ens)
     if len(parts) not in (2, 3):
@@ -203,11 +205,9 @@ def _stack(ens) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     if len(parts) == 2:
         return coefficients, angles, None
     samples = np.asarray(parts[2], dtype=np.complex128)
-    if samples.shape[:-1] != angles.shape[:2] or samples.shape[-1] < 2 * angles.shape[2] + 2:
-        raise InvalidEnsembleError(
-            f"need samples of shape ({angles.shape[0]}, {angles.shape[1]}, L), "
-            f"L >= {2 * angles.shape[2] + 2}, got {samples.shape}"
-        )
+    shape = angles.shape[:2] + (_GRID_FACTOR * angles.shape[2],)
+    if samples.shape != shape:
+        raise InvalidEnsembleError(f"need samples of shape {shape}, got {samples.shape}")
     return coefficients, angles, samples
 
 
@@ -226,24 +226,22 @@ def _settled_brackets(a, ga, b, gb, row, bound, slack, n_dim) -> np.ndarray:
     return margin > bound[row] * span * span * np.where(flip, span / 6.0, 0.5)
 
 
-def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
+def sign_changes(ens):
     """Lower bound for the number of zeros of F on the unit circle.
 
     ``ens`` is a CombinationEnsemble, giving an int, or a stack of S
     ensembles that share their coefficients, given as the pair
     (coefficients (T,), det-1 eigenangles (S, T, N)), giving S counts; the
-    stack may carry its log Z samples on L = r grid_factor N uniform
-    points as a third part (see :func:`_stack`), of which the scan reads
-    every r-th.  Otherwise it takes them from
-    :func:`~cuelab.spectra._fft_samples` as the runners do, on the least
-    such L >= 2N + 2, which is grid_factor N itself from grid_factor 4 up.
-    Each ensemble evaluates G on grid_factor*N uniform nodes plus every
-    eigenangle of every spectrum; exact zeros at nodes (e.g. eigenangles of
-    an n=1 ensemble) are removed from the sign sequence.  Every bracket
-    between consecutive nodes, and the wrap bracket closed with
+    stack may carry its log Z samples on the 8N nodes as a third part (see
+    :func:`_stack`), which are otherwise taken from
+    :func:`~cuelab.spectra._fft_samples` as the runners take them.
+    Each ensemble evaluates G on 8N uniform nodes plus every eigenangle of
+    every spectrum; exact zeros at nodes (e.g. eigenangles of an n=1
+    ensemble) are removed from the sign sequence.  Every bracket between
+    consecutive nodes, and the wrap bracket closed with
     G(theta + 2pi) = (-1)^N G(theta), is then refined level by level: one
-    kernel call per level (at most ``max_refine``) evaluates exactly the
-    live midpoints of every ensemble of the stack.  A midpoint where G is
+    kernel call per level (at most 20) evaluates exactly the live
+    midpoints of every ensemble of the stack.  A midpoint where G is
     exactly 0 ends its bracket and counts the endpoint flip (a tangency
     adds no sign change); otherwise a half is kept if it flips sign or the
     midpoint dips below both endpoint magnitudes, which flags a possible
@@ -252,8 +250,8 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     are disjoint, so the total is a valid lower bound.
 
     Before each level a bracket whose count is already fixed leaves the
-    loop.  Per ensemble, with q = 1 - pi/(2 grid_factor), the rounding
-    slack is e = 1e-8 sum_j |b_j| max|Z_j| / q and the bound is
+    loop.  Per ensemble, with q = 1 - pi/16, the rounding slack is
+    e = 1e-8 sum_j |b_j| max|Z_j| / q and the bound is
     M = max(|G| + e) / q, both maxima over the nodes.  With w = b - a and
     m = |G(a)| + |G(b)| - 2e, a flipping bracket with
     m > M (N/2)^3 w^3 / 6 counts one, and a steady bracket with
@@ -271,31 +269,20 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     for G - c at every |c| < e, no shift of G within its rounding slack
     adds a zero there, and the bisection would have counted the bracket
     the same way, short of rounding noise at midpoints within e of the one
-    zero, which could only have added spurious pairs.  With grid_factor 1
-    the node bound does not hold (q < 0) and no bracket leaves early;
-    moduli that overflow make M infinite, with the same effect.  An
-    ensemble that is
-    numerically zero on its nodes, or nonzero on fewer than two, is
-    degenerate: a single ensemble raises DegenerateCombinationError, and a
-    stack reports -1 in its row.
+    zero, which could only have added spurious pairs.  Moduli that
+    overflow make M infinite, and then no bracket leaves early.  An
+    ensemble that is numerically zero on its nodes, or nonzero on fewer
+    than two, is degenerate: a single ensemble raises
+    DegenerateCombinationError, and a stack reports -1 in its row.
     """
-    if not isinstance(grid_factor, (int, np.integer)) or grid_factor < 1:
-        raise InvalidArgumentError(f"grid_factor must be a positive integer, got {grid_factor!r}")
-    if not isinstance(max_refine, (int, np.integer)) or max_refine < 0:
-        raise InvalidArgumentError(f"max_refine must be >= 0, got {max_refine!r}")
     single = isinstance(ens, CombinationEnsemble)
     coefficients, angles, samples = (
         (ens.coefficients, ens.angles[None], None) if single else _stack(ens))
     n_rows, _, n_dim = angles.shape
     if samples is None:
-        samples = _fft_samples(angles, grid_factor * n_dim)
-    size = samples.shape[-1]
-    if size % (grid_factor * n_dim):
-        raise InvalidEnsembleError(
-            f"{size} samples are not a multiple of the {grid_factor * n_dim} nodes")
-    step = size // (grid_factor * n_dim)
-    base = (np.arange(size) * (TWO_PI / size))[::step]
-    on_base = np.moveaxis(samples[..., ::step], 1, 0)
+        samples = _fft_samples(angles, _GRID_FACTOR * n_dim)
+    base = np.arange(samples.shape[-1]) * (TWO_PI / samples.shape[-1])
+    on_base = np.moveaxis(samples, 1, 0)
     g_base, moduli_base = _real_part(coefficients, on_base.real, on_base.imag, base, n_dim)
     g_own, moduli_own = _own_angle_rotation(coefficients, angles)
     nodes = np.concatenate([np.broadcast_to(base, (n_rows, base.size)),
@@ -314,8 +301,7 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     degenerate |= np.count_nonzero(keep, axis=1) < 2
     keep[degenerate] = False
     # per row: the rounding slack e and the Bernstein bound M of sup|G|
-    # (1/q, infinite where the node bound fails)
-    factor = 1.0 / (1.0 - np.pi / (2 * grid_factor)) if grid_factor >= 2 else np.inf
+    factor = 1.0 / (1.0 - np.pi / (2 * _GRID_FACTOR))
     slack = _ROUNDING_SLACK * factor * (np.abs(coefficients) @ moduli.max(axis=-1))
     bound = factor * (np.max(np.abs(g), axis=1) + slack)
     # live brackets (a, G(a), b, G(b), row), grouped by row: consecutive
@@ -333,7 +319,7 @@ def sign_changes(ens, grid_factor: int = 8, max_refine: int = 20):
     if odd:
         gb[last] = -gb[last]
     total = np.zeros(n_rows, dtype=np.intp)
-    for _ in range(max_refine):
+    for _ in range(_REFINE_DEPTH):
         # settled brackets leave: one zero if flipping, none if steady
         settled = _settled_brackets(a, ga, b, gb, row, bound, slack, n_dim)
         total += np.bincount(row[settled & ((ga > 0.0) != (gb > 0.0))], minlength=n_rows)

@@ -16,12 +16,14 @@ certified spectra with one ``eigenangles`` call (Cayley transform, ``eigh``
 and Rayleigh quotients).  A ``fraction`` or ``carrier`` block also counts
 the sign changes of all its ensembles with one stacked ``sign_changes``
 call, whose level loop refines every bracket of the block at once, on
-its uniform nodes from one pass of log Z samples that the block shares.
-A ``fraction`` block takes its exact circle-zero counts from the same
-samples with one stacked ``circle_zero_counts`` call; a ``carrier`` block
-builds one subdivision and reduces all of its samples as arrays, with no
-ensemble object, and takes its exceptional sets on the 64 N grid from
-each spectrum's coefficients, by FFT of the same samples.
+its 8 N uniform nodes from one pass of log Z samples that the block
+shares.  A ``fraction`` block takes its exact circle-zero counts from the
+same samples with one stacked ``circle_zero_counts`` call; a ``carrier``
+block builds one subdivision and reduces all of its samples as arrays,
+with no ensemble object, takes its exceptional sets on the 64 N grid
+from each spectrum's coefficients, by FFT of the same samples, and the
+logs at the points of all its samples' subdivisions from at most two
+kernel calls.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -57,19 +59,19 @@ from .errors import CuelabError, InvalidConfigError, NumericalFailureError
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI, _SINGULAR_TOL, _check_regular, _fft_samples, _szego, eigenangles,
+    TWO_PI, _SINGULAR_TOL, _check_regular, _fft_samples, _log_z_rows, _szego, eigenangles,
     log_z_from_chain, log_z_grid, log_z_verblunsky,
 )
 from .specfun import (
     EULER_GAMMA, expected_narrow_pairs, f_mu, joint_mgf_rhs, oscillation_variance_exact,
 )
 from .ensembles import (
-    ORACLE_MAX_DIM, CombinationEnsemble, circle_root_count, circle_zero_counts, roots_oracle,
-    sign_changes,
+    _GRID_FACTOR, ORACLE_MAX_DIM, CombinationEnsemble, circle_root_count, circle_zero_counts,
+    roots_oracle, sign_changes,
 )
 from .carrier import (
-    _grid_masks, base_angles, carrier_wave_index, exceptional_mask, narrow_gap_count,
-    narrow_gap_threshold, normalized_logs, subdivision,
+    _grid_masks, _log_scale, base_angles, carrier_wave_index, exceptional_mask,
+    narrow_gap_count, narrow_gap_threshold, subdivision,
 )
 from .results import EstimateRow, ResultRecord
 
@@ -130,7 +132,6 @@ class ExperimentConfig:
     coefficients: tuple = (1.0, 1.0)
     samples: int = 200
     seed: int = 0
-    grid_factor: int = 8
     delta: float | None = None
     subdivisions: int | None = None
     workers: int | None = None
@@ -154,10 +155,10 @@ class ExperimentConfig:
                 f"coefficients must be finite and nonzero, got {self.coefficients!r}"
             )
         object.__setattr__(self, "coefficients", coeffs)
-        floors = {"samples": 2, "grid_factor": 1, "subdivisions": 2, "workers": 1}
+        floors = {"samples": 2, "subdivisions": 2, "workers": 1}
         for name, floor in floors.items():
             value = getattr(self, name)  # subdivisions and workers may be None: derived later
-            if value is not None or name in ("samples", "grid_factor"):
+            if value is not None or name == "samples":
                 object.__setattr__(self, name, _whole(name, value, floor))
         if self.samples > (1 << _GROUP_SHIFT):
             raise InvalidConfigError("samples exceed the per-group stream budget")
@@ -176,9 +177,12 @@ class ExperimentConfig:
             return self.workers
         raw = os.environ.get(_WORKERS_ENV, "1")
         try:
-            return max(1, int(raw))
+            workers = int(raw)
         except ValueError:
             raise InvalidConfigError(f"{_WORKERS_ENV} must be an integer, got {raw!r}") from None
+        if workers < 1:
+            raise InvalidConfigError(f"{_WORKERS_ENV} must be >= 1, got {raw!r}")
+        return workers
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +373,7 @@ def _su_spectra(gen, count: int, dim: int, n_terms: int) -> np.ndarray:
 def _sample_fraction(gen, count, payload) -> np.ndarray:
     """(circle fraction, audit, lower-bound flags) of ``count`` ensembles.
 
-    One pass of log Z samples on the sign scan's grid (see
+    One pass of log Z samples on the sign scan's 8 N nodes (see
     :func:`~cuelab.spectra._fft_samples`) feeds both the block's stacked
     sign-change count and its exact circle-zero counts, one stacked
     ``circle_zero_counts`` call on the non-degenerate rows.  A row whose
@@ -377,10 +381,10 @@ def _sample_fraction(gen, count, payload) -> np.ndarray:
     instead, as N <= ORACLE_MAX_DIM here.  A degenerate ensemble, or one
     whose coefficients all vanish, is a NaN row.
     """
-    dim, grid_factor, coeffs = payload
+    dim, coeffs = payload
     angles = _su_spectra(gen, count, dim, len(coeffs))
-    samples = _fft_samples(angles, grid_factor * dim)
-    changes = sign_changes((coeffs, angles, samples), grid_factor=grid_factor)
+    samples = _fft_samples(angles, _GRID_FACTOR * dim)
+    changes = sign_changes((coeffs, angles, samples))
     rows = np.flatnonzero(changes >= 0)
     zeros = circle_zero_counts((coeffs, angles[rows], samples[rows]), uncertified=-2)
     for k in np.flatnonzero(zeros == -2):
@@ -408,7 +412,7 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
             raise InvalidConfigError(f"fraction runs are capped at N={ORACLE_MAX_DIM}, got N={dim}")
     fractions, degenerate = [], {}
     jobs = [
-        (_sample_fraction, group, (dim, cfg.grid_factor, cfg.coefficients),
+        (_sample_fraction, group, (dim, cfg.coefficients),
          _block_rows(cfg.n_matrices * dim * dim, _BLOCK_ENTRIES))
         for group, dim in enumerate(cfg.dims)
     ]
@@ -441,7 +445,7 @@ def run_fraction_on_circle(cfg: ExperimentConfig) -> ResultRecord:
     report.check(f"N={cfg.dims[-1]} mean exceeds 1/sqrt(3)+0.05", means[-1] > baseline,
                  f"{means[-1]:.4f} vs {baseline:.4f}")
     return report.record(dims=list(cfg.dims), coefficients=list(cfg.coefficients),
-                         grid_factor=cfg.grid_factor, degenerate_excluded=degenerate)
+                         grid_factor=_GRID_FACTOR, degenerate_excluded=degenerate)
 
 
 # --------------------------------------------------------------------------
@@ -797,18 +801,18 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     """(lambda, lambda at delta/2, monotone, stability, bound, measured, holds) per ensemble.
 
     The block is reduced as arrays over its (S, T, N) angles: one pass of
-    log Z samples on the sign scan's grid, which feeds the stacked
+    log Z samples on the sign scan's 8 N nodes, which feeds the stacked
     sign-change count and the masks on the 64 N grid (FFT logs from the
     same samples, or the kernel if a point is not certified), one
-    subdivision, and per sample two ``normalized_logs`` calls at most on
-    its own points, which start at its base angle theta0.  A degenerate
-    ensemble is a NaN row.
+    subdivision, and at most two kernel calls for the normalized logs at
+    the points of every sample's own subdivision, which starts at its base
+    angle theta0.  A degenerate ensemble is a NaN row.
     """
-    dim, coeffs, k_div, delta, grid_factor = payload
+    dim, coeffs, k_div, delta = payload
     config = subdivision(dim, k_div, delta)
     angles = _su_spectra(gen, count, dim, len(coeffs))
-    samples = _fft_samples(angles, grid_factor * dim)
-    measured = sign_changes((coeffs, angles, samples), grid_factor=grid_factor)
+    samples = _fft_samples(angles, _GRID_FACTOR * dim)
+    measured = sign_changes((coeffs, angles, samples))
     out = np.full((count, 7), math.nan)
     rows = np.flatnonzero(measured >= 0)
     if rows.size == 0:
@@ -816,20 +820,20 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     angles, measured = angles[rows], measured[rows]
     mask, mask_half = _grid_masks(angles, samples[rows], config.delta)
     # Per subinterval k of sample s: 8 stability points, then 16 bound
-    # candidates at the left edge.  The first round takes the stability
-    # points and the first 4 candidates; the second the other 12, only on
-    # subintervals where none of the first 4 is usable.  A point's logs do
-    # not depend on the call, and those left NaN lie past the first usable
-    # candidate, which is all the bound reads.
+    # candidates at the left edge.  One kernel call takes the stability
+    # points and the first 4 candidates of every subinterval; a second the
+    # other 12, only on subintervals where none of the first 4 is usable.
+    # A point's logs do not depend on the call, and those left NaN lie past
+    # the first usable candidate, which is all the bound reads.
     lefts = base_angles(angles, config)[:, None] + config.Delta * np.arange(config.K)
     offsets = np.linspace(0.0, math.sqrt(config.delta) * config.Delta, 16, endpoint=False)
     steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
     points = np.mod(lefts[..., None] + np.concatenate([steps, offsets]), TWO_PI)  # (S, K, 24)
+    owners = np.broadcast_to(np.arange(len(angles))[:, None, None], points.shape)
     point_logs = np.full((len(coeffs),) + points.shape, math.nan)
     todo = np.broadcast_to(np.arange(24) < 12, points.shape)
     for _ in range(2):
-        for s in np.flatnonzero(np.any(todo, axis=(1, 2))):
-            point_logs[:, s, todo[s]] = normalized_logs(angles[s], points[s][todo[s]])
+        point_logs[:, todo] = _log_z_rows(angles, points[todo], owners[todo])[0] / _log_scale(dim)
         usable = ~exceptional_mask(point_logs, config.delta)
         todo = (np.arange(24) >= 12) & ~np.any(usable[..., 8:12], axis=-1, keepdims=True)
     carriers = carrier_wave_index(point_logs)
@@ -877,7 +881,7 @@ def run_carrier_diagnostics(cfg: ExperimentConfig) -> ResultRecord:
     report = _Report(cfg)
     dim = _one_dim(cfg)
     subdivision(dim, cfg.subdivisions, cfg.delta)  # rejects N < 4 and K out of range
-    payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta, cfg.grid_factor)
+    payload = (dim, cfg.coefficients, cfg.subdivisions, cfg.delta)
     rows = _block_rows(cfg.n_matrices * dim * dim, _BLOCK_ENTRIES)
     (data,) = _collect(cfg, [(_sample_carrier, 0, payload, rows)])
     kept, excluded = _drop_degenerate(data, dim)

@@ -273,8 +273,8 @@ def _fft_samples(angles: np.ndarray, base: int = 1) -> np.ndarray:
     the inverse FFT of a sampled Z(e^{-i phi}) = sum_m c_m e^{-i m phi}, or
     of a combination of them, returns c_0..c_N unaliased and leaves the top
     L - N - 1 outputs as a measure of the rounding.  A standalone count
-    takes base 1; the runners take base g N, the sign scan's grid, which
-    then reads every (L / g N)-th sample.  The result has shape
+    takes base 1; the sign scan and the runners take base 8N, the sign
+    scan's nodes, which is then L itself.  The result has shape
     ``angles.shape[:-1] + (L,)``; its values are :func:`log_z_grid`'s.
     """
     n_dim = angles.shape[-1]

@@ -247,17 +247,41 @@ def reference_sign_changes(ens, grid_factor, max_refine):
     )
 
 
-def test_sign_changes_matches_recursive_reference():
+def settle_nothing(a, ga, b, gb, row, bound, slack, n_dim):
+    # no bracket leaves the level loop early: plain level-by-level bisection
+    return np.zeros(a.shape, dtype=bool)
+
+
+def depths_and_exits(monkeypatch, depths):
+    """Each refinement depth, with the early exit and then without it."""
+    settled_brackets = cuelab.ensembles._settled_brackets
+    for depth in depths:
+        monkeypatch.setattr(cuelab.ensembles, "_REFINE_DEPTH", depth)
+        for exit_test in (settled_brackets, settle_nothing):
+            monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", exit_test)
+            yield depth
+
+
+def recursive_reference_ensembles():
     g = RngStream(SEED, 17).generator()
     for n_dim in (2, 3, 4, 5, 7, 8, 12, 16, 25, 32, 47, 64, 96, 128) * 3:
         n_terms = int(g.integers(1, 4))
         specs = [eigenangles(haar_special_unitary(n_dim, 0.0, g)[0]) for _ in range(n_terms)]
         coeffs = g.uniform(0.5, 2.0, size=n_terms) * g.choice([-1.0, 1.0], size=n_terms)
-        ens = CombinationEnsemble(coeffs, specs)
-        for grid_factor in (1, 8):
-            for max_refine in (0, 1, 20):
-                expected = reference_sign_changes(ens, grid_factor, max_refine)
-                assert sign_changes(ens, grid_factor, max_refine) == expected
+        yield CombinationEnsemble(coeffs, specs)
+    # on the 8 N nodes two zeros rarely share one half of a bracket: of the
+    # 400 pinned ensembles below, only this one needs the dip rule, which
+    # keeps a steady half whose midpoint dips below both ends
+    yield list(pinned_ensembles(64, 167))[166]
+
+
+def test_sign_changes_matches_recursive_reference(monkeypatch):
+    # the level loop, with and without the early exit, against depth-first
+    # bisection on the 8 N nodes at depths 0, 1 and 20
+    for ens in recursive_reference_ensembles():
+        expected = {depth: reference_sign_changes(ens, 8, depth) for depth in (0, 1, 20)}
+        for depth in depths_and_exits(monkeypatch, expected):
+            assert sign_changes(ens) == expected[depth], (ens.dim, depth)
 
 
 def pinned_ensembles(n_dim, count=200):
@@ -318,14 +342,18 @@ def test_sign_changes_is_level_synchronous(monkeypatch):
     ens = make_ens([1.0, 1.0], 64, salt=18)
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     stack = (ens.coefficients, angles)
-    for max_refine in (0, 5, 20):
+    for depth in depths_and_exits(monkeypatch, (0, 5, 20)):
+        exits = cuelab.ensembles._settled_brackets is not settle_nothing
         calls.clear()
-        sign_changes(ens, max_refine=max_refine)
-        assert 2 <= len(calls) <= max_refine + 2
+        sign_changes(ens)
+        assert 2 <= len(calls) <= depth + 2
+        # without the exit a flipping bracket stays live to the last level
+        assert exits or len(calls) == depth + 2
         # a whole stack of ensembles takes no more calls than one ensemble
         calls.clear()
-        sign_changes(stack, max_refine=max_refine)
-        assert 2 <= len(calls) <= max_refine + 2
+        sign_changes(stack)
+        assert 2 <= len(calls) <= depth + 2
+        assert exits or len(calls) == depth + 2
         # the first call takes the samples on the 8 N uniform nodes, the
         # second the eigenangles, at each of which the other term is evaluated
         assert calls[:2] == [(8 * 64,), (6 * 2 * 64,)]
@@ -354,20 +382,24 @@ def ragged_stack(coeffs, n_dim, salt):
 
 @pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0,)])
 @pytest.mark.parametrize("n_dim", [7, 16])
-def test_stacked_sign_changes_equal_per_ensemble_counts(coeffs, n_dim):
+def test_stacked_sign_changes_equal_per_ensemble_counts(monkeypatch, coeffs, n_dim):
     cases = ragged_stack(coeffs, n_dim, salt=19 + n_dim)
     assert real_rotation(cases[4], 0.0) == 0.0
     stack = (np.array(coeffs), np.stack([ens.angles for ens in cases]))
-    for grid_factor in (1, 8):
-        for max_refine in (0, 1, 20):
-            expected = []
-            for ens in cases:
-                try:
-                    expected.append(sign_changes(ens, grid_factor, max_refine))
-                except DegenerateCombinationError:
-                    expected.append(-1)
-            counts = sign_changes(stack, grid_factor, max_refine)
-            assert counts.tolist() == expected, (grid_factor, max_refine)
+    # with two terms the last row, identical spectra under (1, -1), cancels
+    live = cases[:-1] if len(coeffs) == 2 else cases
+    references = {depth: [reference_sign_changes(ens, 8, depth) for ens in live]
+                  + [-1] * (len(cases) - len(live)) for depth in (0, 1, 20)}
+    for depth in depths_and_exits(monkeypatch, references):
+        expected = []
+        for ens in cases:
+            try:
+                expected.append(sign_changes(ens))
+            except DegenerateCombinationError:
+                expected.append(-1)
+        assert expected == references[depth], depth
+        assert sign_changes(stack).tolist() == expected, depth
+    monkeypatch.undo()
     counts = sign_changes(stack)
     if len(coeffs) == 2:
         assert counts[-1] == -1 and np.all(counts[:-1] >= 0)
@@ -388,6 +420,9 @@ def test_stacked_sign_changes_validate_the_stack():
     shifted[0, 1, 0] += 0.1
     with pytest.raises(InvalidEnsembleError, match="det 1"):
         sign_changes((np.array([1.0, 1.0]), shifted))
+    # a stack's samples are the pass on the 8 N nodes, not a count's M = 2^k
+    with pytest.raises(InvalidEnsembleError, match=r"shape \(1, 2, 64\), got \(1, 2, 32\)"):
+        sign_changes((np.array([1.0, 1.0]), angles, _fft_samples(angles)))
 
 
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -1.0), (1.0, 1.0), (1.0, 2.0, 3.0)])

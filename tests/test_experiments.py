@@ -94,16 +94,15 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(experiment="carrier", dims=(8,), delta=0.3)
     # counts must be whole numbers, not truncated to one
-    for field, value in [("dims", (8.9,)), ("samples", 2.7), ("grid_factor", 2.5),
-                         ("subdivisions", 4.5), ("workers", 1.5)]:
+    for field, value in [("dims", (8.9,)), ("samples", 2.7), ("subdivisions", 4.5),
+                         ("workers", 1.5)]:
         with pytest.raises(InvalidConfigError, match=field):
             ExperimentConfig(**{"experiment": "carrier", "dims": (16,), field: value})
-    whole = ExperimentConfig(experiment="carrier", dims=(16.0,), samples=4.0, grid_factor=2.0,
+    whole = ExperimentConfig(experiment="carrier", dims=(16.0,), samples=4.0,
                              subdivisions=np.int64(4), workers=1.0)
-    assert (whole.dims, whole.samples, whole.grid_factor, whole.subdivisions, whole.workers) \
-        == ((16,), 4, 2, 4, 1)
-    assert all(type(v) is int for v in (*whole.dims, whole.samples, whole.grid_factor,
-                                        whole.subdivisions, whole.workers))
+    assert (whole.dims, whole.samples, whole.subdivisions, whole.workers) == ((16,), 4, 4, 1)
+    assert all(type(v) is int for v in (*whole.dims, whole.samples, whole.subdivisions,
+                                        whole.workers))
     # the CLI dispatches through the registry the config validates against
     assert cli._RUNNERS is experiments._RUNNERS
 
@@ -213,10 +212,12 @@ def test_fraction_falls_back_to_the_oracle_on_uncertified_rows(monkeypatch):
     assert to_json_text(fallback) == to_json_text(exact)
 
 
-# SHA-256 of the sorted-key JSON of (parameters, estimates) of three zero
-# count records at seed 2013, taken before the count shared its log Z
-# samples and the Schur-Cohn table replaced the matrix inertia: any drift
-# in their bytes fails here by name.
+# SHA-256 of the sorted-key JSON of (parameters, estimates) of zero count
+# records at seed 2013: the first three taken before the count shared its
+# log Z samples and the Schur-Cohn table replaced the matrix inertia, the
+# last two before the sign scan's grid became fixed and the carrier took
+# its points' logs in one kernel call per round.  Any drift in their bytes
+# fails here by name.
 RECORD_DIGESTS = [
     (run_fraction_on_circle, dict(experiment="fraction", dims=(16,), coefficients=(1.0, -1.0),
                                   samples=80),
@@ -227,6 +228,14 @@ RECORD_DIGESTS = [
     (run_carrier_diagnostics, dict(experiment="carrier", dims=(64,), coefficients=(1.0, 2.0, 3.0),
                                    samples=4),
      "51240e60cec1f549affe735f69c4fea70c6e1c1dacc3b50505ad3fd3cf727fab"),
+    # 64-row blocks, where some subintervals take a bound candidate past
+    # the first four
+    (run_carrier_diagnostics, dict(experiment="carrier", dims=(16,), coefficients=(1.0, 1.0),
+                                   samples=70, delta=0.1),
+     "d965377bf7060d439f3f81ed72920c69a0d31fce600aae192f158bfc49ccc367"),
+    (run_fraction_on_circle, dict(experiment="fraction", dims=(8, 16, 32),
+                                  coefficients=(1.0, 2.0, 3.0), samples=60),
+     "5c241b7e80047870a071ce719a3a2c00dfa875ed0a2659ca5510d0afcdbc488a"),
 ]
 
 
@@ -271,10 +280,17 @@ def test_degenerate_draws_are_excluded_and_counted(monkeypatch):
             runner(ExperimentConfig(**base, samples=9, seed=2, workers=1))
 
 
-def test_workers_env_variable(monkeypatch):
+def test_workers_env_variable(monkeypatch, capsys):
     cfg = ExperimentConfig(experiment="moments", dims=(8,))
     monkeypatch.setenv("CUELAB_WORKERS", "3")
     assert cfg.resolved_workers() == 3
+    # no worker count below one runs, as workers=0 is refused
+    for raw in ("0", "-2"):
+        monkeypatch.setenv("CUELAB_WORKERS", raw)
+        with pytest.raises(InvalidConfigError, match="CUELAB_WORKERS"):
+            cfg.resolved_workers()
+        assert cli_main(["gaps", "--dims", "8", "--samples", "10"]) == 1
+        assert f"error: CUELAB_WORKERS must be >= 1, got {raw!r}" in capsys.readouterr().err
     monkeypatch.delenv("CUELAB_WORKERS")
     assert cfg.resolved_workers() == 1
     assert ExperimentConfig(experiment="moments", dims=(8,), workers=5).resolved_workers() == 5
@@ -434,7 +450,7 @@ def test_worker_error_propagates_unchanged(monkeypatch, capsys):
     # the carrier subdivision needs N >= 4; the sample function rejects N = 2.
     # The runner checks that before any draw, so the blocks are collected here.
     raised = []
-    job = (experiments._sample_carrier, 0, (2, (1.0, 1.0), None, None, 8), 1)
+    job = (experiments._sample_carrier, 0, (2, (1.0, 1.0), None, None), 1)
     for workers in (1, 2):
         cfg = ExperimentConfig(experiment="carrier", dims=(2,), samples=40, seed=1, workers=workers)
         with pytest.raises(CuelabError) as info:
@@ -636,7 +652,7 @@ def test_carrier_block_bound_equals_the_per_subinterval_loop(monkeypatch, dim, k
     monkeypatch.setattr(experiments, "narrow_gap_threshold", lambda config: threshold)
     count, seed = 8, 52010
     rows = experiments._sample_carrier(
-        experiments._stream(seed, 0, 0).generator(), count, (dim, coeffs, k_div, delta, 8))
+        experiments._stream(seed, 0, 0).generator(), count, (dim, coeffs, k_div, delta))
     angles = experiments._su_spectra(
         experiments._stream(seed, 0, 0).generator(), count, dim, len(coeffs))
     config = subdivision(dim, k_div, delta)
@@ -677,7 +693,7 @@ def test_carrier_bound_leaves_out_an_angle_on_the_arc_end(monkeypatch):
     logs = normalized_logs(angles[0], candidates)
     assert int(np.argmax(~exceptional_mask(logs, config.delta))) == first
     monkeypatch.setattr(experiments, "_su_spectra", lambda gen, count, n, terms: angles)
-    (got,) = experiments._sample_carrier(None, 1, (dim, (1.0,), 4, None, 8))
+    (got,) = experiments._sample_carrier(None, 1, (dim, (1.0,), 4, None))
     assert [got[3], got[4], got[6]] == list(carrier_row_reference(angles[0], config, threshold, got[5]))
 
 

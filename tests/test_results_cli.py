@@ -165,14 +165,14 @@ def test_parse_fraction_example():
 # and --out, and its default dims and samples (selftest echoes its samples
 # default but reads no --samples).
 SUBCOMMANDS = {
-    "fraction": ("--dims --samples --coeffs --grid-factor", (8, 16), 200),
+    "fraction": ("--dims --samples --coeffs", (8, 16), 200),
     "moments": ("--dims --samples", (8,), 20000),
     "traces": ("--dims --samples", (8,), 20000),
     "clt": ("--dims --samples", (64,), 10000),
     "tails": ("--dims --samples", (128,), 2000),
     "oscillation": ("--dims --samples", (64,), 2000),
     "gaps": ("--dims --samples", (32,), 2000),
-    "carrier": ("--dims --samples --coeffs --grid-factor --delta --subdivisions", (64,), 50),
+    "carrier": ("--dims --samples --coeffs --delta --subdivisions", (64,), 50),
     "selftest": ("", (8,), 50),
 }
 
@@ -187,7 +187,7 @@ def test_each_subcommand_takes_only_the_options_its_runner_reads(command, capsys
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == {"--help", *own.split(), "--seed", "--format", "--out"}
     cfg = parse_cli([command])
-    assert (cfg.dims, cfg.samples, cfg.seed, cfg.grid_factor) == (dims, samples, 0, 8)
+    assert (cfg.dims, cfg.samples, cfg.seed) == (dims, samples, 0)
     assert (cfg.delta, cfg.subdivisions, cfg.format, cfg.out) == (None, None, "csv", None)
     if "--coeffs" in own:
         assert cfg.coefficients == (1.0, 1.0)
@@ -219,6 +219,9 @@ def test_parse_output_options(tmp_path):
         ["selftest", "--samples", "20"],
         ["gaps", "--grid-factor", "4"],
         ["fraction", "--delta", "0.1"],
+        # the sign scan's grid is fixed
+        ["fraction", "--grid-factor", "8"],
+        ["carrier", "--grid-factor", "8"],
     ],
 )
 def test_usage_errors_exit_with_code_2(argv):
