@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidConfigError
-from .spectra import TWO_PI, _fft_coefficients, _fft_samples, log_z_grid
+from .spectra import TWO_PI, _fft_coefficients, _fft_samples, _log_z_rows, log_z_grid
 
 __all__ = [
     "CarrierWaveConfig",
@@ -71,6 +71,15 @@ def normalized_logs(angles, thetas) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     scale = _log_scale(angles.shape[-1])
     return log_z_grid(angles, thetas)[0] / scale
+
+
+def _point_logs(angles: np.ndarray, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`normalized_logs` at flat (row, point) pairs, shape (T, P).
+
+    ``angles`` has shape (S, T, N), and ``points`` and ``rows`` shape (P,):
+    point p is taken on the spectra angles[rows[p]], in one kernel call.
+    """
+    return _log_z_rows(angles, points, rows)[0] / _log_scale(angles.shape[-1])
 
 
 def _check_delta(delta) -> float:

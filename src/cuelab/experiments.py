@@ -22,8 +22,7 @@ same samples with one stacked ``circle_zero_counts`` call; a ``carrier``
 block builds one subdivision and reduces all of its samples as arrays,
 with no ensemble object, takes its exceptional sets on the 64 N grid
 from each spectrum's coefficients, by FFT of the same samples, and the
-logs at the points of all its samples' subdivisions from at most two
-kernel calls.
+logs at the points of all its samples' subdivisions from one kernel call.
 The collector evaluates every block by its own call, in process or on one
 spawn-based pool shared by all jobs, and the reduction walks the rows in
 sample order, so the emitted tables are bit-identical no matter how many
@@ -59,7 +58,7 @@ from .errors import CuelabError, InvalidConfigError, NumericalFailureError
 from .rng import RngStream
 from .sampling import haar_special_unitary, haar_unitary, haar_unitary_qr_oracle, haar_verblunsky
 from .spectra import (
-    TWO_PI, _SINGULAR_TOL, _check_regular, _fft_samples, _log_z_rows, _szego, eigenangles,
+    TWO_PI, _SINGULAR_TOL, _check_regular, _fft_samples, _szego, eigenangles,
     log_z_from_chain, log_z_grid, log_z_verblunsky,
 )
 from .specfun import (
@@ -70,7 +69,7 @@ from .ensembles import (
     roots_oracle, sign_changes,
 )
 from .carrier import (
-    _grid_masks, _log_scale, base_angles, carrier_wave_index, exceptional_mask,
+    _grid_masks, _point_logs, base_angles, carrier_wave_index, exceptional_mask,
     narrow_gap_count, narrow_gap_threshold, subdivision,
 )
 from .results import EstimateRow, ResultRecord
@@ -804,9 +803,9 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     log Z samples on the sign scan's 8 N nodes, which feeds the stacked
     sign-change count and the masks on the 64 N grid (FFT logs from the
     same samples, or the kernel if a point is not certified), one
-    subdivision, and at most two kernel calls for the normalized logs at
-    the points of every sample's own subdivision, which starts at its base
-    angle theta0.  A degenerate ensemble is a NaN row.
+    subdivision, and one kernel call for the normalized logs at the points
+    of every sample's own subdivision, which starts at its base angle
+    theta0.  A degenerate ensemble is a NaN row.
     """
     dim, coeffs, k_div, delta = payload
     config = subdivision(dim, k_div, delta)
@@ -820,22 +819,14 @@ def _sample_carrier(gen, count, payload) -> np.ndarray:
     angles, measured = angles[rows], measured[rows]
     mask, mask_half = _grid_masks(angles, samples[rows], config.delta)
     # Per subinterval k of sample s: 8 stability points, then 16 bound
-    # candidates at the left edge.  One kernel call takes the stability
-    # points and the first 4 candidates of every subinterval; a second the
-    # other 12, only on subintervals where none of the first 4 is usable.
-    # A point's logs do not depend on the call, and those left NaN lie past
-    # the first usable candidate, which is all the bound reads.
+    # candidates at the left edge, all in one kernel call.
     lefts = base_angles(angles, config)[:, None] + config.Delta * np.arange(config.K)
     offsets = np.linspace(0.0, math.sqrt(config.delta) * config.Delta, 16, endpoint=False)
     steps = (np.arange(8) + 0.5) * (config.Delta / 8.0)
     points = np.mod(lefts[..., None] + np.concatenate([steps, offsets]), TWO_PI)  # (S, K, 24)
-    owners = np.broadcast_to(np.arange(len(angles))[:, None, None], points.shape)
-    point_logs = np.full((len(coeffs),) + points.shape, math.nan)
-    todo = np.broadcast_to(np.arange(24) < 12, points.shape)
-    for _ in range(2):
-        point_logs[:, todo] = _log_z_rows(angles, points[todo], owners[todo])[0] / _log_scale(dim)
-        usable = ~exceptional_mask(point_logs, config.delta)
-        todo = (np.arange(24) >= 12) & ~np.any(usable[..., 8:12], axis=-1, keepdims=True)
+    owners = np.repeat(np.arange(len(angles)), points[0].size)
+    point_logs = _point_logs(angles, points.ravel(), owners).reshape((len(coeffs),) + points.shape)
+    usable = ~exceptional_mask(point_logs, config.delta)
     carriers = carrier_wave_index(point_logs)
     # Carrier-index stability: on each subinterval, the index evaluated on
     # the 8-point grid (outside the exceptional set) must not move, so its

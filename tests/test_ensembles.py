@@ -13,6 +13,7 @@ import cuelab.ensembles
 from cuelab import RngStream, experiments, haar_special_unitary
 from cuelab.ensembles import (
     CombinationEnsemble,
+    _settled_brackets,
     circle_root_count,
     circle_zero_counts,
     real_rotation,
@@ -253,11 +254,15 @@ def settle_nothing(a, ga, b, gb, row, bound, slack, n_dim):
 
 
 def depths_and_exits(monkeypatch, depths):
-    """Each refinement depth, with the early exit and then without it."""
-    settled_brackets = cuelab.ensembles._settled_brackets
+    """Each refinement depth, with the early exit and then without it.
+
+    The exit is the module's own function, taken at import, so a generator
+    started after another one left settle_nothing installed still runs the
+    real exit first.
+    """
     for depth in depths:
         monkeypatch.setattr(cuelab.ensembles, "_REFINE_DEPTH", depth)
-        for exit_test in (settled_brackets, settle_nothing):
+        for exit_test in (_settled_brackets, settle_nothing):
             monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", exit_test)
             yield depth
 
@@ -278,10 +283,16 @@ def recursive_reference_ensembles():
 def test_sign_changes_matches_recursive_reference(monkeypatch):
     # the level loop, with and without the early exit, against depth-first
     # bisection on the 8 N nodes at depths 0, 1 and 20
-    for ens in recursive_reference_ensembles():
+    passes = {_settled_brackets: 0, settle_nothing: 0}
+    ensembles = list(recursive_reference_ensembles())
+    for ens in ensembles:
         expected = {depth: reference_sign_changes(ens, 8, depth) for depth in (0, 1, 20)}
         for depth in depths_and_exits(monkeypatch, expected):
+            passes[cuelab.ensembles._settled_brackets] += 1
             assert sign_changes(ens) == expected[depth], (ens.dim, depth)
+    # every ensemble ran each depth once with the real exit and once without
+    assert passes == {_settled_brackets: 3 * len(ensembles),
+                      settle_nothing: 3 * len(ensembles)}
 
 
 def pinned_ensembles(n_dim, count=200):
@@ -343,7 +354,7 @@ def test_sign_changes_is_level_synchronous(monkeypatch):
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     stack = (ens.coefficients, angles)
     for depth in depths_and_exits(monkeypatch, (0, 5, 20)):
-        exits = cuelab.ensembles._settled_brackets is not settle_nothing
+        exits = cuelab.ensembles._settled_brackets is _settled_brackets
         calls.clear()
         sign_changes(ens)
         assert 2 <= len(calls) <= depth + 2
@@ -490,12 +501,11 @@ def test_level_calls_evaluate_only_live_midpoints(monkeypatch):
         return log_z_rows(*args)
 
     def settling(*args):
-        settled = settled_brackets(*args)
+        settled = _settled_brackets(*args)
         live.append(np.count_nonzero(~settled))
         return settled
 
     log_z_rows = cuelab.ensembles._log_z_rows
-    settled_brackets = cuelab.ensembles._settled_brackets
     monkeypatch.setattr(cuelab.ensembles, "_log_z_rows", counting)
     monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", settling)
     gen = RngStream(SEED, 23).generator()
@@ -552,12 +562,11 @@ def test_settled_brackets_hold_the_oracle_roots_they_are_counted_with(monkeypatc
     settled_seen = []
 
     def recording(a, ga, b, gb, row, bound, slack, n_dim):
-        settled = settled_brackets(a, ga, b, gb, row, bound, slack, n_dim)
+        settled = _settled_brackets(a, ga, b, gb, row, bound, slack, n_dim)
         flip = (ga > 0.0) != (gb > 0.0)
         settled_seen.append((a[settled], b[settled], flip[settled], row[settled]))
         return settled
 
-    settled_brackets = cuelab.ensembles._settled_brackets
     monkeypatch.setattr(cuelab.ensembles, "_settled_brackets", recording)
     stacks = []
     for salt, coeffs in enumerate(((1.0, 1.0), (1.0, -1.0), (1.0, 2.0, 3.0))):
