@@ -10,16 +10,17 @@ Three routes count the zeros of F on the unit circle.
    factor makes G(theta) = Re[i^N e^{iN theta/2} F(e^{-i theta})] a real
    trigonometric polynomial whose sign changes lower-bound the count.
    :func:`sign_changes` takes G on its uniform nodes from one pass of
-   per-term log Z samples, and at each eigenangle from the other terms
-   alone; it then refines all its brackets level by level (one kernel
-   call per bisection level, for one ensemble or a whole stack of them)
-   and drops each bracket whose count Bernstein's inequality already
-   fixes.  One formula, :func:`_real_part`, turns per-term log Z into G:
-   on the nodes, at each level's live midpoints (:func:`_rotation`) and in
-   :func:`real_rotation`.
+   per-term log Z samples, and at every eigenangle from one
+   :func:`_rotation` call, the evaluator of its level loop; it then refines
+   all its brackets level by level (one kernel call per bisection level,
+   for one ensemble or a whole stack of them) and drops each bracket whose
+   count Bernstein's inequality already fixes.  One formula,
+   :func:`_real_part`, turns per-term log Z into G: on the nodes, through
+   :func:`_rotation` and in :func:`real_rotation`.
 2. The exact count.  :func:`circle_zero_counts` takes the number of zeros
    of F' inside the disc from the Schur-Cohn table, O(N^2) per row
-   (Cohn's theorem in counting form), and certifies each count or raises.
+   (Cohn's theorem in counting form), and certifies each count or flags
+   it (raises, for one ensemble).
 3. The audit route.  :func:`roots_oracle` takes companion-matrix roots,
    one ``np.roots`` per ensemble, capped at N = ORACLE_MAX_DIM.
 
@@ -135,31 +136,6 @@ def _rotation(coefficients: np.ndarray, angles: np.ndarray, rows: np.ndarray,
     """
     re, im = _log_z_rows(angles, thetas, rows)
     return _real_part(coefficients, re, im, thetas, angles.shape[-1])
-
-
-def _own_angle_rotation(coefficients: np.ndarray, angles: np.ndarray):
-    """G at every eigenangle of every spectrum, and the moduli there.
-
-    ``angles`` has shape (S, T, N); G has shape (S, T N), the points in the
-    order of ``angles.reshape(S, -1)``, and the moduli (T, S, T N).  Z_j is
-    exactly 0 at its own eigenangles, where the kernel's Re log Z_j is
-    -inf, so only the other terms are evaluated there, in one kernel call
-    over the (S T, T - 1, N) stack of each eigenangle's other spectra;
-    term j adds b_j 0 cos(...) = +-0 to G, and its modulus is 0.
-    """
-    n_rows, n_terms, n_dim = angles.shape
-    others = np.array([[i for i in range(n_terms) if i != j] for j in range(n_terms)],
-                      dtype=np.intp)
-    stack = angles[:, others].reshape(n_rows * n_terms, n_terms - 1, n_dim)
-    part = _log_z_rows(stack, angles.ravel(), np.repeat(np.arange(n_rows * n_terms), n_dim))
-    part_re, part_im = (v.reshape(n_terms - 1, n_rows, n_terms, n_dim) for v in part)
-    re = np.full((n_terms,) + angles.shape, -np.inf)
-    im = np.zeros(re.shape)
-    for j, terms in enumerate(others):
-        re[terms, :, j], im[terms, :, j] = part_re[:, :, j], part_im[:, :, j]
-    shape = (n_terms, n_rows, n_terms * n_dim)
-    return _real_part(coefficients, re.reshape(shape), im.reshape(shape),
-                      angles.reshape(n_rows, -1), n_dim)
 
 
 def real_rotation(ens: CombinationEnsemble, theta: float) -> float:
@@ -278,17 +254,19 @@ def sign_changes(ens):
     single = isinstance(ens, CombinationEnsemble)
     coefficients, angles, samples = (
         (ens.coefficients, ens.angles[None], None) if single else _stack(ens))
-    n_rows, _, n_dim = angles.shape
+    n_rows, n_terms, n_dim = angles.shape
     if samples is None:
         samples = _fft_samples(angles, _GRID_FACTOR * n_dim)
     base = np.arange(samples.shape[-1]) * (TWO_PI / samples.shape[-1])
     on_base = np.moveaxis(samples, 1, 0)
     g_base, moduli_base = _real_part(coefficients, on_base.real, on_base.imag, base, n_dim)
-    g_own, moduli_own = _own_angle_rotation(coefficients, angles)
+    # Re log Z_j is -inf at its own eigenangles: |Z_j| = 0, and term j adds +-0
+    g_own, moduli_own = _rotation(coefficients, angles,
+                                  np.repeat(np.arange(n_rows), n_terms * n_dim), angles.ravel())
     nodes = np.concatenate([np.broadcast_to(base, (n_rows, base.size)),
                             angles.reshape(n_rows, -1)], axis=1)
-    g = np.concatenate([g_base, g_own], axis=1)
-    moduli = np.concatenate([moduli_base, moduli_own], axis=2)
+    g = np.concatenate([g_base, g_own.reshape(n_rows, -1)], axis=1)
+    moduli = np.concatenate([moduli_base, moduli_own.reshape(n_terms, n_rows, -1)], axis=2)
     # sum |b_j| |Z_j| bounds |F| and calibrates the degeneracy floor
     scale = (np.abs(coefficients) @ moduli.reshape(len(coefficients), -1)).reshape(g.shape)
     degenerate = np.all(np.abs(g) <= _DEGENERATE_TOL * np.maximum(scale, 1e-300), axis=1)
@@ -422,7 +400,7 @@ def _schur_cohn(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.count_nonzero(negative, axis=0), np.min(np.abs(deltas) / ends, axis=0)
 
 
-def circle_zero_counts(ens, uncertified: int | None = None):
+def circle_zero_counts(ens):
     """Exact number of zeros of F on the unit circle, without roots.
 
     ``ens`` is a CombinationEnsemble, giving an int, or a stack of S
@@ -430,8 +408,8 @@ def circle_zero_counts(ens, uncertified: int | None = None):
     (coefficients (T,), det-1 eigenangles (S, T, N)), giving S counts.
     F's coefficients come from log Z samples on M = 2^k >= 2N + 2 points,
     or from those a stack carries as its third part (see :func:`_stack`).
-    A row the certificate below cannot settle raises NumericalFailureError,
-    or, for a stack given an ``uncertified`` int, reports that value.
+    A row the certificate below cannot settle is -2 in a stack's counts;
+    a single ensemble raises NumericalFailureError there.
 
     **Trim.**  F's coefficients below 1e-10 of the peak are stripped at both
     ends: at the top as in :func:`roots_oracle`, and at the bottom too, for
@@ -497,7 +475,8 @@ def circle_zero_counts(ens, uncertified: int | None = None):
     the FFT; so the certificate is calibrated, not rigorous.  On a
     certified row every delta_k of the exact table has the sign of the
     computed one, so the hypothesis holds and the count is exact.
-    Elsewhere the row is uncertified, and the error names it: a double
+    Elsewhere the row is uncertified: a stack reports -2 there, and a
+    single ensemble raises with the margin and the allowance.  A double
     circle zero (a repeated eigenangle of a single term) makes p' vanish
     on the circle and a delta_k vanish, so it never passes.  A stack
     reports -1 for a row whose coefficients all vanish; a single ensemble
@@ -537,15 +516,13 @@ def circle_zero_counts(ens, uncertified: int | None = None):
         factor = max(_TABLE_MARGIN, 16.0 * n * n)
         allowance = factor * n * noise[rows] / np.linalg.norm(q, axis=1)
         bad = np.flatnonzero(~(margin > allowance))
-        if bad.size and uncertified is not None and not single:
-            counts[rows[bad]] = uncertified
-        elif bad.size:
-            b, r = bad[0], rows[bad[0]]
+        if single and bad.size:
             raise NumericalFailureError(
-                f"circle zero count not certified: Schur-Cohn margin {margin[b]:.3e} <= "
-                f"allowance {allowance[b]:.3e} (a double circle zero, or a zero of F' next "
-                f"to the circle){'' if single else f' in row {r}'}"
+                f"circle zero count not certified: Schur-Cohn margin {margin[0]:.3e} <= "
+                f"allowance {allowance[0]:.3e} (a double circle zero, or a zero of F' next "
+                f"to the circle)"
             )
+        counts[rows[bad]] = -2
     return int(counts[0]) if single else counts
 
 
@@ -573,6 +550,6 @@ def roots_oracle(ens: CombinationEnsemble) -> RootSet:
 
 def circle_root_count(rootset: RootSet, tol: float = 1e-6) -> int:
     """Number of roots with | |z| - 1 | <= tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
     return int(np.sum(np.abs(np.abs(rootset.roots) - 1.0) <= tol))

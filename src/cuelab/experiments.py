@@ -385,7 +385,7 @@ def _sample_fraction(gen, count, payload) -> np.ndarray:
     samples = _fft_samples(angles, _GRID_FACTOR * dim)
     changes = sign_changes((coeffs, angles, samples))
     rows = np.flatnonzero(changes >= 0)
-    zeros = circle_zero_counts((coeffs, angles[rows], samples[rows]), uncertified=-2)
+    zeros = circle_zero_counts((coeffs, angles[rows], samples[rows]))
     for k in np.flatnonzero(zeros == -2):
         zeros[k] = circle_root_count(roots_oracle(CombinationEnsemble(coeffs, angles[rows[k]])))
     rows, zeros = rows[zeros >= 0], zeros[zeros >= 0]

@@ -55,7 +55,7 @@ class EstimateRow:
     def __post_init__(self):
         if not self.label:
             raise InvalidArgumentError("estimate row label must be nonempty")
-        if self.stderr < 0.0:
+        if not self.stderr >= 0.0:
             raise InvalidArgumentError(f"stderr must be >= 0, got {self.stderr!r}")
         if self.n < 0:
             raise InvalidArgumentError(f"n must be >= 0, got {self.n!r}")

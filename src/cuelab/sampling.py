@@ -100,12 +100,12 @@ class UnitaryMatrix:
     def check(self) -> "UnitaryMatrix":
         """Verify the unitary invariants, returning self for chaining."""
         defect = self.unitarity_defect()
-        if defect > _UNITARITY_TOL * self.dim:
+        if not defect <= _UNITARITY_TOL * self.dim:
             raise NumericalFailureError(
                 f"unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL * self.dim:.3e}"
             )
         dmod = abs(self.det())
-        if abs(dmod - 1.0) > _DET_TOL:
+        if not abs(dmod - 1.0) <= _DET_TOL:
             raise NumericalFailureError(f"|det| = {dmod!r} is not 1 within {_DET_TOL}")
         return self
 
@@ -134,7 +134,7 @@ class ReflectionChain:
             if x.shape[-1] != j:
                 raise InvalidDimensionError(f"vector {j} has length {x.shape[-1]}, expected {j}")
             err = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0))
-            if err > tol:
+            if not err <= tol:
                 raise NumericalFailureError(f"vector {j} norm off by {err:.3e}")
         return self
 
@@ -155,7 +155,7 @@ def reflection_matrix(x: np.ndarray) -> UnitaryMatrix:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or len(x) < 1:
         raise InvalidDimensionError(f"x must be a nonempty vector, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(x) - 1.0) <= 1e-8:
         raise InvalidArgumentError("reflection input must be a unit vector")
     j = len(x)
     eye = np.eye(j, dtype=np.complex128)

@@ -191,7 +191,7 @@ def oscillation_variance_exact(n_dim: int, mu: float) -> float:
     if not isinstance(n_dim, (int, np.integer)) or n_dim < 1:
         raise InvalidArgumentError(f"N must be a positive integer, got {n_dim!r}")
     mu = float(mu)
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise InvalidArgumentError(f"mu must be >= 0, got {mu!r}")
     alpha = math.fmod(mu / n_dim, TWO_PI)
     if alpha == 0.0:
@@ -210,7 +210,7 @@ def oscillation_variance_exact(n_dim: int, mu: float) -> float:
 def si(z: float) -> float:
     """Sine integral Si(z) = int_0^z sin(x)/x dx, for z >= 0."""
     z = float(z)
-    if z < 0.0:
+    if not z >= 0.0:
         raise OutOfDomainError(f"si requires z >= 0, got {z!r}")
     from scipy.special import sici
 
@@ -220,7 +220,7 @@ def si(z: float) -> float:
 def ci(z: float) -> float:
     """Cosine integral Ci(z) = -int_z^inf cos(x)/x dx, for z > 0."""
     z = float(z)
-    if z <= 0.0:
+    if not z > 0.0:
         raise OutOfDomainError(f"ci requires z > 0, got {z!r}")
     from scipy.special import sici
 

@@ -115,10 +115,10 @@ class EigenangleSpectrum:
     def check(self, tol: float = 1e-6) -> "EigenangleSpectrum":
         if self.dim < 1:
             raise InvalidArgumentError("spectrum must contain at least one angle")
-        if np.any(self.angles < 0.0) or np.any(self.angles >= TWO_PI):
+        if not np.all((self.angles >= 0.0) & (self.angles < TWO_PI)):
             raise InvalidArgumentError("angles must lie in [0, 2pi)")
         gap = float(_phase_gap(self.angles, self.det_phase))
-        if gap > tol:
+        if not gap <= tol:
             raise NumericalFailureError(f"angle sum and det phase disagree by {gap:.3e}")
         return self
 
@@ -307,10 +307,8 @@ def _log_z_rows(angles: np.ndarray, points: np.ndarray, rows: np.ndarray):
     but at least four, each a (T, N, c) buffer with the points innermost;
     every block of a call of P >= 2 points then holds two or more, so every
     value sums its N terms in order (one point keeps numpy's pairwise sum).
-    A stack of one row takes the broadcast difference, any other gathers
-    its points' rows.
     """
-    n_rows, n_terms, n_dim = angles.shape
+    _, n_terms, n_dim = angles.shape
     # halving is exact, so half differences keep every Sterbenz-exact digit
     half_angles = 0.5 * np.mod(angles, TWO_PI)
     half_points = 0.5 * np.mod(points, TWO_PI)
@@ -323,11 +321,8 @@ def _log_z_rows(angles: np.ndarray, points: np.ndarray, rows: np.ndarray):
     bounds = np.arange(n_blocks + 1) * n_points // n_blocks
     with np.errstate(divide="ignore"):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if n_rows == 1:
-                d = columns - half_points[lo:hi]
-            else:
-                d = np.take(columns, rows[lo:hi], axis=-1)
-                d -= half_points[lo:hi]
+            d = np.take(columns, rows[lo:hi], axis=-1)
+            d -= half_points[lo:hi]
             np.add.reduce(d < 0.0, axis=1, out=below[:, lo:hi])
             np.sin(d, out=d)
             np.abs(d, out=d)

@@ -375,8 +375,9 @@ def ragged_stack(coeffs, n_dim, salt):
 
     Four Haar rows; a row whose spectra all hold the exact angle 0, a grid
     node where G is then exactly 0; and, with two terms, a row of two
-    identical spectra, which b = (1, -1) cancels.  A single term is 0 at
-    every eigenangle.
+    identical spectra, which b = (1, -1) cancels and b = (1, 2) makes
+    3 Z_1, with every term's log Z -inf at every eigenangle.  A single
+    term is 0 at every eigenangle.
     """
     g = RngStream(SEED, salt).generator()
 
@@ -391,14 +392,14 @@ def ragged_stack(coeffs, n_dim, salt):
     return [CombinationEnsemble(np.array(coeffs), specs) for specs in rows]
 
 
-@pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0,)])
+@pytest.mark.parametrize("coeffs", [(1.0, -1.0), (1.0,), (1.0, 2.0)])
 @pytest.mark.parametrize("n_dim", [7, 16])
 def test_stacked_sign_changes_equal_per_ensemble_counts(monkeypatch, coeffs, n_dim):
     cases = ragged_stack(coeffs, n_dim, salt=19 + n_dim)
     assert real_rotation(cases[4], 0.0) == 0.0
     stack = (np.array(coeffs), np.stack([ens.angles for ens in cases]))
-    # with two terms the last row, identical spectra under (1, -1), cancels
-    live = cases[:-1] if len(coeffs) == 2 else cases
+    # the last row, identical spectra, cancels under (1, -1) alone
+    live = cases[:-1] if coeffs == (1.0, -1.0) else cases
     references = {depth: [reference_sign_changes(ens, 8, depth) for ens in live]
                   + [-1] * (len(cases) - len(live)) for depth in (0, 1, 20)}
     for depth in depths_and_exits(monkeypatch, references):
@@ -412,8 +413,12 @@ def test_stacked_sign_changes_equal_per_ensemble_counts(monkeypatch, coeffs, n_d
         assert sign_changes(stack).tolist() == expected, depth
     monkeypatch.undo()
     counts = sign_changes(stack)
-    if len(coeffs) == 2:
+    if coeffs == (1.0, -1.0):
         assert counts[-1] == -1 and np.all(counts[:-1] >= 0)
+    elif len(coeffs) == 2:
+        # F = 3 Z_1 on the identical row: all N zeros, by both routes
+        assert counts[-1] == circle_zero_counts(stack)[-1] == n_dim
+        assert np.all(counts >= 0)
     else:
         assert counts.tolist() == [n_dim] * len(cases)
 
@@ -486,9 +491,10 @@ def test_settled_brackets_leave_the_level_loop(monkeypatch):
     monkeypatch.setattr(cuelab.ensembles, "_rotation", counting)
     angles = np.stack([make_ens([1.0, 1.0], 64, salt).angles for salt in range(6)])
     sign_changes((np.array([1.0, 1.0]), angles))
-    # the nodes come from the samples and the eigenangle call, so each call
-    # takes a level's midpoints
-    assert sum(evaluated) <= 0.2 * 13889
+    # the first call takes the eigenangle nodes, each later one a level's
+    # midpoints
+    assert evaluated[0] == 6 * 2 * 64
+    assert sum(evaluated[1:]) <= 0.2 * 13889
 
 
 def test_level_calls_evaluate_only_live_midpoints(monkeypatch):
@@ -643,7 +649,8 @@ def test_circle_zero_counts_vanishing_and_trimmed_rows():
 
 def test_double_circle_zero_fails_the_certificate():
     # a repeated eigenangle is a double zero of F on the circle: F' vanishes
-    # there, the Schur-Cohn matrix is singular, and no count comes back
+    # there, the Schur-Cohn matrix is singular, and no count comes back; a
+    # stack flags the row -2
     spread = np.array([0.4, 0.4, 1.3, 2.2, 3.5, 4.6, 5.2])
     double = np.sort(np.append(spread, np.mod(-spread.sum(), TWO_PI)))
     plain = make_ens([1.0], 8, salt=42).angles[0]
@@ -651,22 +658,18 @@ def test_double_circle_zero_fails_the_certificate():
         with pytest.raises(NumericalFailureError, match="not certified"):
             circle_zero_counts(CombinationEnsemble(np.array(coeffs), rows[0]))
     stack = np.array([[plain], [double]])
-    with pytest.raises(NumericalFailureError, match="in row 1"):
-        circle_zero_counts((np.array([1.0]), stack))
     assert circle_zero_counts((np.array([1.0]), stack[:1])).tolist() == [8]
-    assert circle_zero_counts((np.array([1.0]), stack), uncertified=-2).tolist() == [8, -2]
-    with pytest.raises(NumericalFailureError, match="not certified"):
-        circle_zero_counts(CombinationEnsemble(np.array([1.0]), [double]), uncertified=-2)
+    assert circle_zero_counts((np.array([1.0]), stack)).tolist() == [8, -2]
 
 
 def test_single_term_counts_at_large_n_are_certified_or_flagged():
     # a single term has the thinnest certificates (min|lambda| / max|lambda|
     # down to 1e-10 at N = 512); all N of its zeros are on the circle, and a
-    # stack given ``uncertified`` flags a row rather than raising
+    # stack flags a row -2 rather than raising
     for n_dim, rows in ((256, 4), (512, 1)):
         gen = RngStream(SEED, 400 + n_dim).generator()
         angles = experiments._su_spectra(gen, rows, n_dim, 1)
-        counts = circle_zero_counts((np.array([1.0]), angles), uncertified=-2)
+        counts = circle_zero_counts((np.array([1.0]), angles))
         oracle = [circle_root_count(roots_oracle(CombinationEnsemble(np.array([1.0]), a)))
                   for a in angles]
         assert oracle == [n_dim] * rows
@@ -676,8 +679,8 @@ def test_single_term_counts_at_large_n_are_certified_or_flagged():
 def test_g_is_a_function_of_the_point_alone():
     # G at a (row, theta) point does not depend on the other points of its
     # call: a whole point list equals consecutive pairs bit for bit, and the
-    # sign scan's shared samples give G on the nodes and at the
-    # eigenangles exactly as the level loop's evaluator does
+    # sign scan's shared samples give G on the nodes exactly as the level
+    # loop's evaluator does, which also gives its eigenangle nodes
     gen = RngStream(SEED, 60).generator()
     coeffs = np.array([1.0, 2.0, 3.0])
     angles = experiments._su_spectra(gen, 4, 64, 3)
@@ -697,11 +700,13 @@ def test_g_is_a_function_of_the_point_alone():
                                           np.tile(nodes, 4))
     np.testing.assert_array_equal(on_nodes.ravel(), at_nodes[0])
     np.testing.assert_array_equal(node_moduli.reshape(3, -1), at_nodes[1])
-    own, own_moduli = cuelab.ensembles._own_angle_rotation(coeffs, angles)
-    at_own = cuelab.ensembles._rotation(coeffs, angles, np.repeat(np.arange(4), 3 * 64),
-                                        angles.ravel())
-    np.testing.assert_array_equal(own.ravel(), at_own[0])
-    np.testing.assert_array_equal(own_moduli.reshape(3, -1), at_own[1])
+    # at an eigenangle the owning term has modulus exactly 0 (its Re log Z
+    # is -inf), and G stays finite
+    own, own_moduli = cuelab.ensembles._rotation(coeffs, angles, np.repeat(np.arange(4), 3 * 64),
+                                                 angles.ravel())
+    owner = np.tile(np.repeat(np.arange(3), 64), 4)
+    assert np.all(own_moduli[owner, np.arange(owner.size)] == 0.0)
+    assert np.all(np.isfinite(own))
 
 
 def reference_inertia_counts(coeffs, angles):
@@ -762,7 +767,7 @@ def test_table_counts_equal_the_matrix_reference():
         stacks.append((np.array(coeffs), experiments._su_spectra(gen, rows, n_dim, len(coeffs))))
     checked = 0
     for coeffs, angles in stacks:
-        counts = circle_zero_counts((coeffs, angles), uncertified=-2)
+        counts = circle_zero_counts((coeffs, angles))
         reference, certified = reference_inertia_counts(coeffs, angles)
         assert np.all(certified), (coeffs, angles.shape)
         np.testing.assert_array_equal(counts, reference, err_msg=str((coeffs, angles.shape)))

@@ -5,12 +5,17 @@ sampler) get their heavy statistical treatment in test_acceptance; here
 we verify the algebraic postconditions that must hold sample by sample.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from cuelab import (
+    EigenangleSpectrum,
+    ReflectionChain,
     RngStream,
+    UnitaryMatrix,
     chain_to_matrix,
     coupled_chain_pair,
     haar_reflection_chain,
@@ -18,8 +23,13 @@ from cuelab import (
     haar_unitary,
     haar_unitary_qr_oracle,
 )
-from cuelab.errors import InvalidArgumentError, InvalidDimensionError
+from cuelab.ensembles import RootSet, circle_root_count
+from cuelab.errors import (
+    InvalidArgumentError, InvalidDimensionError, NumericalFailureError, OutOfDomainError,
+)
+from cuelab.results import EstimateRow, ResultRecord, emit, read_record
 from cuelab.sampling import haar_verblunsky, reflection_determinant, reflection_matrix
+from cuelab.specfun import ci, oscillation_variance_exact, si
 from cuelab.spectra import eigenangles, log_z, log_z_from_chain, log_z_verblunsky
 
 SEED = 8675309
@@ -241,6 +251,53 @@ def test_bad_dimensions_rejected():
             haar_unitary_qr_oracle(bad, g)
     with pytest.raises(InvalidDimensionError):
         haar_special_unitary(0, 0.0, g)
+
+
+NAN = float("nan")
+
+
+def _nan_det(u):
+    u.det = lambda: complex(NAN, 0.0)
+    return u
+
+
+def _read_nan_stderr(tmp_path):
+    path = tmp_path / "record.json"
+    emit(ResultRecord("toy", estimates=[EstimateRow("x", 0.5, 0.1, 2, 1)]), "json", str(path))
+    payload = json.loads(path.read_text())
+    payload["estimates"][0]["stderr"] = NAN
+    path.write_text(json.dumps(payload))
+    return read_record(str(path))
+
+
+# each domain check written as x > limit or x < 0 let NaN through
+NAN_CASES = {
+    "unitary defect": (lambda tmp: UnitaryMatrix(np.full((2, 2), NAN)).check(),
+                       NumericalFailureError),
+    "unitary det": (lambda tmp: _nan_det(UnitaryMatrix(np.eye(2))).check(),
+                    NumericalFailureError),
+    "chain norm": (lambda tmp: ReflectionChain([np.array([NAN + 0j])]).check(),
+                   NumericalFailureError),
+    "reflection input": (lambda tmp: reflection_matrix(np.array([NAN])), InvalidArgumentError),
+    "spectrum angles": (lambda tmp: EigenangleSpectrum(np.array([0.5, NAN]), 0.0).check(),
+                        InvalidArgumentError),
+    "spectrum det phase": (lambda tmp: EigenangleSpectrum(np.array([0.5, 1.0]), NAN).check(),
+                           NumericalFailureError),
+    "root count tol": (lambda tmp: circle_root_count(RootSet([1.0]), tol=NAN),
+                       InvalidArgumentError),
+    "estimate stderr": (lambda tmp: EstimateRow("x", 0.5, NAN, 2, 1), InvalidArgumentError),
+    "record stderr": (_read_nan_stderr, InvalidArgumentError),
+    "oscillation mu": (lambda tmp: oscillation_variance_exact(8, NAN), InvalidArgumentError),
+    "si": (lambda tmp: si(NAN), OutOfDomainError),
+    "ci": (lambda tmp: ci(NAN), OutOfDomainError),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_domain_checks_refuse_nan(case, tmp_path):
+    call, error = NAN_CASES[case]
+    with pytest.raises(error):
+        call(tmp_path)
 
 
 # ---------------------------------------------------------------------------
